@@ -23,7 +23,7 @@ from .residuals import (EmpiricalFunctions, ResidualConfig,
                         ZeroModelTailError, tau_for_sample)
 from .simulate import SCHEMES, SimulationPlan, SimulationReport, run_simulation
 from .solver import (Root, RootSet, SolverConfig, bootstrap_root_search,
-                     cluster_roots, select_root, solve_from)
+                     cluster_roots, solve_from)
 from .tables import (TableCell, TableReport, export_report, reproduce_table,
                      table_ids)
 from .weights import (DEFAULT_SPECS, GammaKernel, GevKernel, KERNELS,
@@ -45,6 +45,6 @@ __all__ = [
     "fisher_consistency_check", "get_family", "influence_first_order",
     "influence_report", "influence_second_order", "load_dataset",
     "mixture_root_scan", "population_weighted_score", "reproduce_table",
-    "run_simulation", "select_root", "solve_from", "table_ids",
+    "run_simulation", "solve_from", "table_ids",
     "tau_for_sample",
 ]

@@ -184,7 +184,7 @@ def _add_weight_args(p, default="gamma"):
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--beta-exp", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
 
 
 def build_parser():

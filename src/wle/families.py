@@ -3,12 +3,14 @@
 Each family provides the log-density score, distribution and survival
 functions, their parameter gradients, the Fisher information and a
 closed-form weighted fit (the inner step of the reweighting iteration).
+The solver calls batched forms of the model functions, the weighted fit
+and the weighted score, with one row per start of a root search.
 Five families are supported: Poisson, univariate normal, exponential,
 bivariate normal and normal linear regression.
 """
 
 import numpy as np
-from scipy.special import ndtr, gammaln
+from scipy.special import gammaln, ndtr, pdtr, pdtrc
 from scipy.stats import chi2
 
 from .bvn import bvn_cdf
@@ -39,6 +41,8 @@ class Family:
     dim = 0
     param_names = ()
     kind = "univariate"  # univariate | bivariate | regression
+    discrete = False
+    min_subsample = 2    # smallest subsample that identifies the parameters
 
     def check_params(self, theta):
         raise NotImplementedError
@@ -91,7 +95,34 @@ class Family:
 
     def weighted_fit(self, x, w):
         """Solve sum_i w_i * u_theta(x_i) = 0 for frozen weights."""
+        theta = self.weighted_fit_batch(x, np.asarray(w, dtype=float)[None, :])
+        if np.any(np.isnan(theta)):
+            raise DegenerateFitError("weighted fit is degenerate (weight "
+                                     "mass, spread or design collapsed)")
+        return theta[0]
+
+    # Batched pieces of the fixed-point iteration: row b of `thetas` or of
+    # the weights `w` belongs to the b-th start, and x is the whole sample.
+
+    def cdf_batch(self, thetas, x):
+        """(F, S) at x under each parameter row, each of shape (B, n)."""
         raise NotImplementedError
+
+    def weighted_fit_batch(self, x, w):
+        """weighted_fit for each row of a (B, n) weight batch, (B, dim).
+
+        A row whose fit is degenerate comes back as NaN."""
+        raise NotImplementedError
+
+    def weighted_score_batch(self, thetas, x, w):
+        """sum_i w_bi u_theta_b(x_i) for each row b, shape (B, dim)."""
+        raise NotImplementedError
+
+
+def _weight_sums(w):
+    """Row sums of a weight batch, NaN where the total weight collapsed."""
+    sw = w.sum(axis=1)
+    return np.where(sw < _WEIGHT_SUM_FLOOR, np.nan, sw)
 
 
 class Poisson(Family):
@@ -129,20 +160,17 @@ class Poisson(Family):
         return 2.0 * _asarray1d(x) / lam**3
 
     def cdf_survival(self, theta, x):
-        # Direct pmf summation; data are small counts and the survival sum
-        # from x upward avoids cancellation in extreme right tails.
-        lam = float(np.asarray(theta).reshape(-1)[0])
-        x = _asarray1d(x)
-        xi = x.astype(int)
-        F = np.empty_like(x)
-        S = np.empty_like(x)
-        for i, k in enumerate(xi):
-            lo = np.arange(0, k + 1)
-            F[i] = np.exp(lo * np.log(lam) - lam - gammaln(lo + 1)).sum()
-            # sum pmf from k until terms are negligible
-            hi = np.arange(k, max(k + 20, int(4 * lam + 40)))
-            terms = np.exp(hi * np.log(lam) - lam - gammaln(hi + 1))
-            S[i] = terms.sum()
+        F, S = self.cdf_batch(np.reshape(theta, (1, -1)), _asarray1d(x))
+        return F[0], S[0]
+
+    def cdf_batch(self, thetas, x):
+        # regularized incomplete gamma functions; the survival side is
+        # computed directly, so extreme right tails keep their relative
+        # accuracy
+        lam = np.asarray(thetas, dtype=float)[:, 0:1]
+        k = np.floor(x)
+        F = pdtr(k, lam)
+        S = np.where(k >= 1, pdtrc(np.maximum(k - 1.0, 0.0), lam), 1.0)
         return np.minimum(F, 1.0), np.minimum(S, 1.0)
 
     def fisher_information(self, theta):
@@ -160,6 +188,13 @@ class Poisson(Family):
             raise DegenerateFitError("weighted mean of counts is zero")
         return np.array([lam])
 
+    def weighted_fit_batch(self, x, w):
+        lam = w @ x / _weight_sums(w)
+        return np.where(lam > 0, lam, np.nan)[:, None]
+
+    def weighted_score_batch(self, thetas, x, w):
+        return ((w @ x) / thetas[:, 0] - w.sum(axis=1))[:, None]
+
 
 class Normal(Family):
     """Univariate normal parametrized by (mu, sigma^2)."""
@@ -168,7 +203,6 @@ class Normal(Family):
     dim = 2
     param_names = ("mu", "sigma2")
     kind = "univariate"
-    discrete = False
 
     def check_params(self, theta):
         if not np.asarray(theta)[1] > 0:
@@ -237,13 +271,19 @@ class Normal(Family):
         return F, ndtr(-z)
 
     def weighted_fit_batch(self, x, w):
-        sw = w.sum(axis=1)
-        bad = sw < _WEIGHT_SUM_FLOOR
-        sw = np.where(bad, np.nan, sw)
+        sw = _weight_sums(w)
         mu = w @ x / sw
         s2 = (w * (x[None, :] - mu[:, None]) ** 2).sum(axis=1) / sw
         s2 = np.where(s2 <= 0, np.nan, s2)
         return np.column_stack([mu, s2])
+
+    def weighted_score_batch(self, thetas, x, w):
+        s2 = thetas[:, 1]
+        d = x[None, :] - thetas[:, 0:1]
+        wd = w * d
+        return np.column_stack([
+            wd.sum(axis=1) / s2,
+            ((wd * d).sum(axis=1) - s2 * w.sum(axis=1)) / (2 * s2 * s2)])
 
 
 class Exponential(Family):
@@ -251,7 +291,6 @@ class Exponential(Family):
     dim = 1
     param_names = ("lam",)
     kind = "univariate"
-    discrete = False
 
     def check_params(self, theta):
         if not np.all(np.asarray(theta) > 0):
@@ -308,9 +347,11 @@ class Exponential(Family):
         return -np.expm1(-lx), np.exp(-lx)
 
     def weighted_fit_batch(self, x, w):
-        sw = w.sum(axis=1)
-        m = w @ x / np.where(sw < _WEIGHT_SUM_FLOOR, np.nan, sw)
+        m = w @ x / _weight_sums(w)
         return np.where(m > 0, 1.0 / m, np.nan)[:, None]
+
+    def weighted_score_batch(self, thetas, x, w):
+        return (w.sum(axis=1) / thetas[:, 0] - w @ x)[:, None]
 
 
 class NormalLocation(Family):
@@ -320,7 +361,6 @@ class NormalLocation(Family):
     dim = 1
     param_names = ("mu",)
     kind = "univariate"
-    discrete = False
 
     def check_params(self, theta):
         pass
@@ -361,6 +401,16 @@ class NormalLocation(Family):
             raise DegenerateFitError("total weight collapsed")
         return np.array([float(w @ x / sw)])
 
+    def cdf_batch(self, thetas, x):
+        z = x[None, :] - thetas[:, 0:1]
+        return ndtr(z), ndtr(-z)
+
+    def weighted_fit_batch(self, x, w):
+        return (w @ x / _weight_sums(w))[:, None]
+
+    def weighted_score_batch(self, thetas, x, w):
+        return (w @ x - thetas[:, 0] * w.sum(axis=1))[:, None]
+
 
 class BivariateNormal(Family):
     """Bivariate normal parametrized by (mu1, mu2, sigma1^2, sigma2^2, rho)."""
@@ -369,7 +419,7 @@ class BivariateNormal(Family):
     dim = 5
     param_names = ("mu1", "mu2", "sigma1_sq", "sigma2_sq", "rho")
     kind = "bivariate"
-    discrete = False
+    min_subsample = 3
 
     def check_params(self, theta):
         _, _, s1, s2, rho = theta
@@ -399,20 +449,25 @@ class BivariateNormal(Family):
                    + (z1 * z2 * (1 + rho * rho) - rho * (z1**2 + z2**2)) / r2**2)
         return u
 
+    def cdf_batch(self, thetas, xy):
+        """Quadrant probabilities (ll, lg, gl, gg) at each point under each
+        parameter row, a tuple of four (B, n) arrays."""
+        t = np.asarray(thetas, dtype=float)
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        z1 = (xy[:, 0] - t[:, 0:1]) / np.sqrt(t[:, 2:3])
+        z2 = (xy[:, 1] - t[:, 1:2]) / np.sqrt(t[:, 3:4])
+        return bvn_cdf(z1, z2, t[:, 4:5], quadrants=True)
+
     def quadrant_probabilities(self, theta, xy):
         """Model probabilities of the four quadrants at each point.
 
         Returns an (n, 4) array ordered (ll, lg, gl, gg)."""
-        z1, z2, rho = self._standardize(theta, xy)
-        ll = bvn_cdf(z1, z2, rho)
-        lg = bvn_cdf(z1, -z2, -rho)
-        gl = bvn_cdf(-z1, z2, -rho)
-        gg = bvn_cdf(-z1, -z2, rho)
-        return np.column_stack([ll, lg, gl, gg])
+        q = self.cdf_batch(np.reshape(theta, (1, -1)), xy)
+        return np.column_stack([p[0] for p in q])
 
     def cdf_survival(self, theta, xy):
-        q = self.quadrant_probabilities(theta, xy)
-        return q[:, 0], q[:, 3]
+        q = self.cdf_batch(np.reshape(theta, (1, -1)), xy)
+        return q[0][0], q[3][0]
 
     def fisher_information(self, theta):
         # Quadrature of u u^T against the density via Gauss-Hermite nodes.
@@ -426,22 +481,42 @@ class BivariateNormal(Family):
         u = self.score(theta, np.column_stack([x.ravel(), y.ravel()]))
         return (u[:, :, None] * u[:, None, :] * W.ravel()[:, None, None]).sum(axis=0)
 
-    def weighted_fit(self, xy, w):
+    def weighted_fit_batch(self, xy, w):
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        w = np.asarray(w, dtype=float)
-        sw = w.sum()
-        if sw < _WEIGHT_SUM_FLOOR:
-            raise DegenerateFitError("total weight collapsed")
-        mu = w @ xy / sw
-        d = xy - mu
-        s1 = float(w @ (d[:, 0] ** 2) / sw)
-        s2 = float(w @ (d[:, 1] ** 2) / sw)
-        c = float(w @ (d[:, 0] * d[:, 1]) / sw)
-        if s1 <= 0 or s2 <= 0:
-            raise DegenerateFitError("weighted variance is zero")
-        rho = c / np.sqrt(s1 * s2)
-        rho = float(np.clip(rho, -0.9999, 0.9999))
-        return np.array([mu[0], mu[1], s1, s2, rho])
+        sw = _weight_sums(w)
+        mu1, mu2 = w @ xy[:, 0] / sw, w @ xy[:, 1] / sw
+        d1 = xy[:, 0] - mu1[:, None]
+        d2 = xy[:, 1] - mu2[:, None]
+        wd1 = w * d1
+        s1 = (wd1 * d1).sum(axis=1) / sw
+        s2 = (w * d2 * d2).sum(axis=1) / sw
+        c = (wd1 * d2).sum(axis=1) / sw
+        # weights collapsed onto about one point can leave s1, s2 > 0 with
+        # a product that underflows to zero
+        v = s1 * s2
+        v = np.where((s1 <= 0) | (s2 <= 0) | (v <= 0), np.nan, v)
+        rho = np.clip(c / np.sqrt(v), -0.9999, 0.9999)
+        return np.column_stack([mu1, mu2, s1, s2, rho])
+
+    def weighted_score_batch(self, thetas, xy, w):
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        mu1, mu2, s1, s2, rho = thetas.T
+        r1, r2 = np.sqrt(s1), np.sqrt(s2)
+        z1 = (xy[:, 0] - mu1[:, None]) / r1[:, None]
+        z2 = (xy[:, 1] - mu2[:, None]) / r2[:, None]
+        wz1, wz2 = w * z1, w * z2
+        sw = w.sum(axis=1)
+        m1, m2 = wz1.sum(axis=1), wz2.sum(axis=1)
+        m11, m22 = (wz1 * z1).sum(axis=1), (wz2 * z2).sum(axis=1)
+        m12 = (wz1 * z2).sum(axis=1)
+        q = 1 - rho * rho
+        return np.column_stack([
+            (m1 - rho * m2) / (r1 * q),
+            (m2 - rho * m1) / (r2 * q),
+            (-sw + (m11 - rho * m12) / q) / (2 * s1),
+            (-sw + (m22 - rho * m12) / q) / (2 * s2),
+            rho * sw / q + (m12 * (1 + rho * rho) - rho * (m11 + m22)) / q**2,
+        ])
 
 
 class NormalRegression(Family):
@@ -455,7 +530,7 @@ class NormalRegression(Family):
     dim = 3
     param_names = ("beta0", "beta1", "sigma")
     kind = "regression"
-    discrete = False
+    min_subsample = 3
 
     def check_params(self, theta):
         if not theta[2] > 0:
@@ -465,9 +540,12 @@ class NormalRegression(Family):
         pass
 
     def residuals(self, theta, xy):
-        b0, b1, sig = theta
+        """Standardized residuals (y - beta0 - beta1 x) / sigma.
+
+        A (B, 3) parameter batch gives one (B, n) row per parameter."""
+        t = np.asarray(theta, dtype=float)
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        return (xy[:, 1] - b0 - b1 * xy[:, 0]) / sig
+        return (xy[:, 1] - t[..., 0:1] - t[..., 1:2] * xy[:, 0]) / t[..., 2:3]
 
     def score(self, theta, xy):
         b0, b1, sig = theta
@@ -496,23 +574,35 @@ class NormalRegression(Family):
         info[2, 2] = 2.0
         return info / sig**2
 
-    def weighted_fit(self, xy, w):
+    def weighted_fit_batch(self, xy, w):
+        # weighted least squares on the centred covariate: the 2x2 normal
+        # equations have determinant sw * sxx and solve in closed form
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        w = np.asarray(w, dtype=float)
-        sw = w.sum()
-        if sw < _WEIGHT_SUM_FLOOR:
-            raise DegenerateFitError("total weight collapsed")
-        X = np.column_stack([np.ones(len(xy)), xy[:, 0]])
-        XtW = X.T * w
-        gram = XtW @ X
-        if abs(np.linalg.det(gram)) < 1e-12 * max(1.0, sw**2):
-            raise DegenerateFitError("weighted design matrix is singular")
-        beta = np.linalg.solve(gram, XtW @ xy[:, 1])
-        e = xy[:, 1] - X @ beta
-        s2 = float(w @ (e * e) / sw)
-        if s2 <= 0:
-            raise DegenerateFitError("weighted residual variance is zero")
-        return np.array([beta[0], beta[1], np.sqrt(s2)])
+        x, y = xy[:, 0], xy[:, 1]
+        sw = _weight_sums(w)
+        mx, my = w @ x / sw, w @ y / sw
+        dx = x - mx[:, None]
+        wdx = w * dx
+        sxx = (wdx * dx).sum(axis=1)
+        singular = sw * sxx < 1e-12 * np.maximum(1.0, sw * sw)
+        sxx = np.where(singular, np.nan, sxx)
+        b1 = (wdx * (y - my[:, None])).sum(axis=1) / sxx
+        b0 = my - b1 * mx
+        e = y - b0[:, None] - b1[:, None] * x
+        s2 = (w * e * e).sum(axis=1) / sw
+        s2 = np.where(s2 <= 0, np.nan, s2)
+        return np.column_stack([b0, b1, np.sqrt(s2)])
+
+    def weighted_score_batch(self, thetas, xy, w):
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        sig2 = thetas[:, 2] ** 2
+        e = xy[:, 1] - thetas[:, 0:1] - thetas[:, 1:2] * xy[:, 0]
+        we = w * e
+        return np.column_stack([
+            we.sum(axis=1) / sig2,
+            (we @ xy[:, 0]) / sig2,
+            ((we * e).sum(axis=1) - sig2 * w.sum(axis=1)) / (sig2 * thetas[:, 2]),
+        ])
 
 
 FAMILIES = {

@@ -44,11 +44,12 @@ def _rank_functions(order):
     """F_n and S_n at the sample points from a stable sorting permutation.
 
     The observation of rank i gets F_n = i/n and S_n = (n - i + 1)/n;
-    tied observations take consecutive ranks in sample order.
+    tied observations take consecutive ranks in sample order. A 2-D
+    `order` holds one permutation per row.
     """
-    n = order.size
-    rank = np.empty(n)
-    rank[order] = np.arange(1, n + 1)
+    n = order.shape[-1]
+    rank = np.empty(order.shape)
+    np.put_along_axis(rank, order, np.arange(1.0, n + 1), axis=-1)
     return rank / n, (n + 1 - rank) / n
 
 
@@ -61,14 +62,15 @@ class EmpiricalFunctions:
     values F_n(X_(i)) = i/n and S_n(X_(i)) = (n - i + 1)/n, with tied
     observations taking consecutive ranks; both are computed once.
     For bivariate data the four quadrant counters are evaluated by direct
-    counting.
+    counting, at the sample points once per sample.
     """
 
     def __init__(self, data, bivariate=False):
         self.bivariate = bivariate
         if bivariate:
-            self._pts = np.asarray(data, dtype=float).reshape(-1, 2)
-            self.n = len(self._pts)
+            self._sample = np.asarray(data, dtype=float).reshape(-1, 2)
+            self.n = len(self._sample)
+            self._counted = self.quadrants(self._sample)
         else:
             x = np.array(data, dtype=float).ravel()
             order = np.argsort(x, kind="stable")
@@ -83,6 +85,8 @@ class EmpiricalFunctions:
     def at_sample(self, x, discrete=False):
         """F_n and S_n at the sample points, in sample order.
 
+        For bivariate data this is the (n, 4) array of quadrant masses.
+
         `x` must be the sample this object was built from. Under a
         continuous family ties have probability zero, so tied observations
         take consecutive ranks rather than all being credited with their
@@ -93,7 +97,7 @@ class EmpiricalFunctions:
         if not np.array_equal(x, self._sample, equal_nan=True):
             raise ValueError("sample points differ from the sample the "
                              "empirical functions were built from")
-        return self._counted if discrete else self._ranked
+        return self._counted if discrete or self.bivariate else self._ranked
 
     def cdf(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -106,7 +110,7 @@ class EmpiricalFunctions:
     def quadrants(self, xy):
         """Empirical quadrant masses (ll, lg, gl, gg) at each point, (n, 4)."""
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        X, Y = self._pts[:, 0], self._pts[:, 1]
+        X, Y = self._sample[:, 0], self._sample[:, 1]
         lx = X[None, :] <= xy[:, 0:1]
         gx = X[None, :] >= xy[:, 0:1]
         ly = Y[None, :] <= xy[:, 1:2]
@@ -122,19 +126,23 @@ class EmpiricalFunctions:
 
 def _tau_branch(Fn, Sn, F, S, p, beta_exp, strict=True):
     """Three-branch residual, vectorized. With strict=False a vanished model
-    tail yields +inf (weight functions map it to zero) instead of raising."""
+    tail yields +inf (weight functions map it to zero) instead of raising.
+
+    Fn and Sn broadcast against F and S, so one sample's empirical
+    functions serve a whole (B, n) batch of model functions."""
     F = np.asarray(F, dtype=float)
     S = np.asarray(S, dtype=float)
     lower = F <= p
     upper = F >= 1.0 - p
-    tau = np.zeros_like(F)
     if strict and (np.any(lower & (F == 0)) or np.any(upper & (S == 0))):
         raise ZeroModelTailError("model tail probability underflowed to zero")
+    if beta_exp != 1.0:
+        F, S = F**beta_exp, S**beta_exp
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tl = Fn / F**beta_exp - 1.0
-        tu = Sn / S**beta_exp - 1.0
-    tau[lower] = np.where(np.isfinite(tl[lower]), tl[lower], np.inf)
-    tau[upper] = np.where(np.isfinite(tu[upper]), tu[upper], np.inf)
+        # F = p = 1 - p (p = 1/2) takes the upper branch
+        tau = np.where(upper, Sn / S, np.where(lower, Fn / F, 1.0))
+    tau -= 1.0
+    np.copyto(tau, np.inf, where=~np.isfinite(tau))
     return tau
 
 
@@ -151,22 +159,6 @@ def tau_univariate(config, empirical, family, theta, x):
                        config.p, config.beta_exp)
 
 
-def tau_bivariate(config, empirical, family, theta, xy):
-    """Residual from the quadrant with the smallest model probability.
-
-    Ties at the minimum are broken in the fixed order ll, lg, gl, gg.
-    """
-    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-    model_q = family.quadrant_probabilities(theta, xy)
-    emp_q = empirical.quadrants(xy)
-    pick = np.argmin(model_q, axis=1)  # argmin keeps the first of tied minima
-    rows = np.arange(len(xy))
-    pm = model_q[rows, pick]
-    if np.any(pm < 1e-300):
-        raise ZeroModelTailError("minimal quadrant probability underflowed")
-    return emp_q[rows, pick] / pm**config.beta_exp - 1.0
-
-
 def tau_regression(config, z_sample, z):
     """Residual for standardized regression residuals against Phi.
 
@@ -180,36 +172,58 @@ def tau_regression(config, z_sample, z):
                        config.p, config.beta_exp)
 
 
+def _quadrant_tau(model_q, emp_q, beta_exp, strict):
+    """Residual from the quadrant with the smallest model probability.
+
+    `model_q` are the four (B, n) model quadrant probabilities and `emp_q`
+    the (n, 4) empirical quadrant masses. Ties at the minimum are broken
+    in the fixed order ll, lg, gl, gg.
+    """
+    pm, emp = model_q[0], emp_q[:, 0]
+    for j in (1, 2, 3):
+        take = model_q[j] < pm
+        pm = np.where(take, model_q[j], pm)
+        emp = np.where(take, emp_q[:, j], emp)
+    if strict and np.any(pm < 1e-300):
+        raise ZeroModelTailError("minimal quadrant probability underflowed")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tau = emp / pm**beta_exp - 1.0
+    return np.where(np.isfinite(tau), tau, np.inf)
+
+
 def tau_for_sample(config, family, theta, data, empirical=None, strict=False):
     """Residuals of every observation in `data` under `family` at `theta`.
 
-    This is the solver-facing path: model tails that underflow give +inf
-    residuals rather than raising, so extreme outliers simply receive
-    weight zero. F_n and S_n at the sample points are the values of
+    `theta` is one parameter vector, giving n residuals, or a (B, dim)
+    batch, giving one row of n residuals per parameter. This is the
+    solver-facing path: model tails that underflow give +inf residuals
+    rather than raising, so extreme outliers simply receive weight zero.
+    F_n and S_n at the sample points are the values of
     `EmpiricalFunctions.at_sample`: sample ranks for a continuous family
-    (regression residuals included), inclusive counts for a discrete one.
-    A supplied univariate `empirical` must have been built from `data`.
+    (regression residuals included), inclusive counts for a discrete one,
+    quadrant masses for bivariate data, where the residual comes from the
+    quadrant of smallest model probability. A supplied `empirical` must
+    have been built from `data`.
     """
-    if config.kind == "bivariate":
-        if empirical is None:
-            empirical = EmpiricalFunctions(data, bivariate=True)
-        xy = np.asarray(data, dtype=float).reshape(-1, 2)
-        model_q = family.quadrant_probabilities(theta, xy)
-        emp_q = empirical.quadrants(xy)
-        pick = np.argmin(model_q, axis=1)
-        rows = np.arange(len(xy))
-        pm = model_q[rows, pick]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = emp_q[rows, pick] / pm**config.beta_exp - 1.0
-        return np.where(np.isfinite(tau), tau, np.inf)
+    theta = np.asarray(theta, dtype=float)
+    thetas = np.atleast_2d(theta)
     if config.kind == "regression":
-        z = family.residuals(theta, data)
-        Fn, Sn = _rank_functions(np.argsort(z, kind="stable"))
-        return _tau_branch(Fn, Sn, ndtr(z), ndtr(-z),
-                           config.p, config.beta_exp, strict=strict)
-    if empirical is None:
-        empirical = EmpiricalFunctions(data)
-    x = np.atleast_1d(np.asarray(data, dtype=float))
-    F, S = family.cdf_survival(theta, x)
-    Fn, Sn = empirical.at_sample(x, family.discrete)
-    return _tau_branch(Fn, Sn, F, S, config.p, config.beta_exp, strict=strict)
+        z = family.residuals(thetas, data)
+        Fn, Sn = _rank_functions(np.argsort(z, axis=-1, kind="stable"))
+        tau = _tau_branch(Fn, Sn, ndtr(z), ndtr(-z),
+                          config.p, config.beta_exp, strict=strict)
+    elif config.kind == "bivariate":
+        xy = np.asarray(data, dtype=float).reshape(-1, 2)
+        if empirical is None:
+            empirical = EmpiricalFunctions(xy, bivariate=True)
+        tau = _quadrant_tau(family.cdf_batch(thetas, xy),
+                            empirical.at_sample(xy), config.beta_exp, strict)
+    else:
+        x = np.atleast_1d(np.asarray(data, dtype=float))
+        if empirical is None:
+            empirical = EmpiricalFunctions(x)
+        F, S = family.cdf_batch(thetas, x)
+        Fn, Sn = empirical.at_sample(x, family.discrete)
+        tau = _tau_branch(Fn, Sn, F, S, config.p, config.beta_exp,
+                          strict=strict)
+    return tau if theta.ndim == 2 else tau[0]

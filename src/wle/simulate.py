@@ -60,10 +60,6 @@ class SimulationPlan:
         if self.reps < 1:
             raise ValueError("need at least one replication")
 
-    @property
-    def estimator_labels(self):
-        return ("mle", *(f"wle_{type(s).__name__}_{s}" for s in self.weight_specs))
-
 
 def _short_label(spec):
     params = ",".join(f"{k}={v}" for k, v in dataclasses.asdict(spec).items())
@@ -167,7 +163,7 @@ def run_simulation(plan):
                 try:
                     rs = bootstrap_root_search(family, x, plan.residual_config,
                                                spec, sc)
-                except (DegenerateFitError, np.linalg.LinAlgError):
+                except DegenerateFitError:
                     failures[ie, je] += 1
                     continue
                 est = rs.selected.theta[0]

@@ -195,11 +195,3 @@ KERNELS = {
     "scaled_f": ScaledFKernel,
 }
 
-
-def weight(spec, tau):
-    """Functional form of spec.weight for callers that prefer it."""
-    return spec.weight(tau)
-
-
-def weight_second_derivative_at_zero(spec):
-    return spec.second_derivative_at_zero()

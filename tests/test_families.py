@@ -1,9 +1,12 @@
 """Closed-form family quantities against scipy/numpy oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats as st
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from wle.bvn import bvn_cdf
 from wle.families import (DegenerateFitError, DomainError, FAMILIES,
@@ -148,6 +151,138 @@ def test_degenerate_weight_collapse():
     fam = get_family("normal")
     with pytest.raises(DegenerateFitError):
         fam.weighted_fit(np.array([1.0, 2.0]), np.array([1e-14, 1e-14]))
+
+
+def test_poisson_batch_cdf_matches_pmf_sums():
+    # direct summation of the pmf, with the survival side summed upward
+    # from x so that its right tail keeps its relative accuracy
+    fam = get_family("poisson")
+    lams = np.array([0.01, 0.4, 2.5, 10.0, 40.0])
+    x = np.arange(0.0, 61.0)
+    F, S = fam.cdf_batch(lams[:, None], x)
+    for b, lam in enumerate(lams):
+        def pmf(k):
+            return np.exp(k * np.log(lam) - lam - gammaln(k + 1))
+        for i, k in enumerate(x):
+            F_ref = min(pmf(np.arange(0.0, k + 1)).sum(), 1.0)
+            S_ref = min(pmf(np.arange(k, k + 200)).sum(), 1.0)
+            assert F[b, i] == pytest.approx(F_ref, rel=1e-13, abs=0)
+            assert S[b, i] == pytest.approx(S_ref, rel=1e-13, abs=1e-300)
+    F1, S1 = fam.cdf_survival(lams[2:3], x)
+    np.testing.assert_array_equal(F1, F[2])
+    np.testing.assert_array_equal(S1, S[2])
+
+
+def test_bvn_quadrants_share_two_owens_t_calls():
+    rng = np.random.default_rng(11)
+    h, k = rng.normal(0.0, 2.0, (2, 40, 30))
+    h[:, :5] = 0.0                 # points on the axes
+    k[:, 3:8] = 0.0
+    rho = rng.uniform(-0.99, 0.99, (40, 1))
+    rho[::4] = 0.0
+    q = bvn_cdf(h, k, rho, quadrants=True)
+    four = (bvn_cdf(h, k, rho), bvn_cdf(h, -k, -rho),
+            bvn_cdf(-h, k, -rho), bvn_cdf(-h, -k, rho))
+    for got, ref in zip(q, four):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sum(q), 1.0, atol=1e-12)
+    # rho = 0 is the product of the margins
+    np.testing.assert_array_equal(
+        q[1][0], st.norm.cdf(h[0]) * st.norm.cdf(-k[0]))
+    with pytest.raises(ValueError):
+        bvn_cdf(h, k, np.full((40, 1), 1.0))
+
+
+def test_regression_batch_solve_matches_linalg():
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-4.0, 12.0, 25)
+    xy = np.column_stack([x, 1.5 - 0.4 * x + rng.normal(0.0, 0.8, 25)])
+    w = rng.uniform(0.0, 1.0, (6, 25))
+    w[0, 5:] = 0.0                 # five points carry the whole weight
+    fam = get_family("normal_regression")
+    fits = fam.weighted_fit_batch(xy, w)
+    X = np.column_stack([np.ones(25), x])
+    for wb, fit in zip(w, fits):
+        beta = np.linalg.solve((X.T * wb) @ X, (X.T * wb) @ xy[:, 1])
+        np.testing.assert_allclose(fit[:2], beta, rtol=1e-12)
+        e = xy[:, 1] - X @ beta
+        assert fit[2] == pytest.approx(np.sqrt(wb @ (e * e) / wb.sum()),
+                                       rel=1e-12)
+
+
+def test_regression_batch_flags_degenerate_rows():
+    fam = get_family("normal_regression")
+    xy = np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 2.0], [3.0, 7.0]])
+    w = np.array([[1.0, 1.0, 1.0, 1.0],      # regular
+                  [1e-14, 1e-14, 0.0, 0.0],  # total weight collapsed
+                  [0.0, 1.0, 0.0, 0.0],      # one point: singular design
+                  [1.0, 0.0, 0.0, 1.0]])     # two points: exact fit
+    fits = fam.weighted_fit_batch(xy, w)
+    assert np.all(np.isfinite(fits[0]))
+    assert np.all(np.isnan(fits[1:]).any(axis=1))
+    for wb in w[1:]:
+        with pytest.raises(DegenerateFitError):
+            fam.weighted_fit(xy, wb)
+
+
+def test_bivariate_fit_with_weight_on_one_point_is_degenerate():
+    # weights concentrated on one point leave s1, s2 > 0 but s1 * s2
+    # underflows; rho must not become +-inf and be clipped
+    rng = np.random.default_rng(4)
+    xy = rng.normal(size=(12, 2))
+    w = np.full(12, 1e-200)
+    w[3] = 1.0
+    fam = get_family("bivariate_normal")
+    with warnings.catch_warnings(), pytest.raises(DegenerateFitError):
+        warnings.simplefilter("error")
+        fam.weighted_fit(xy, w)
+    fits = fam.weighted_fit_batch(xy, np.vstack([w, np.ones(12)]))
+    assert np.isnan(fits[0]).any()
+    np.testing.assert_allclose(fits[1], fam.mle(xy), rtol=1e-12)
+
+
+def test_bivariate_batch_fit_matches_weighted_covariance():
+    rng = np.random.default_rng(5)
+    xy = rng.normal(size=(30, 2)) @ np.array([[1.0, 0.6], [0.0, 0.5]])
+    w = rng.uniform(0.1, 1.0, (4, 30))
+    fits = get_family("bivariate_normal").weighted_fit_batch(xy, w)
+    for wb, fit in zip(w, fits):
+        cov = np.cov(xy.T, aweights=wb, bias=True)
+        np.testing.assert_allclose(fit[:2], wb @ xy / wb.sum(), rtol=1e-12)
+        np.testing.assert_allclose(fit[2:4], np.diag(cov), rtol=1e-12)
+        assert fit[4] == pytest.approx(
+            cov[0, 1] / np.sqrt(cov[0, 0] * cov[1, 1]), rel=1e-12)
+
+
+_SCORE_CASES = {
+    "poisson": (lambda r: r.poisson(2.0, 20).astype(float),
+                [[0.5], [2.0], [7.0]]),
+    "normal": (lambda r: r.normal(1.0, 2.0, 20),
+               [[0.0, 1.0], [1.0, 4.0], [-2.0, 0.3]]),
+    "exponential": (lambda r: r.exponential(2.0, 20), [[0.1], [0.5], [3.0]]),
+    "normal_location": (lambda r: r.normal(size=20), [[0.0], [1.5], [-3.0]]),
+    "bivariate_normal": (lambda r: r.normal(size=(20, 2)),
+                         [[0.0, 0.0, 1.0, 1.0, 0.0],
+                          [0.3, -0.2, 2.0, 0.5, 0.7],
+                          [1.0, 1.0, 0.2, 3.0, -0.9]]),
+    "normal_regression": (lambda r: r.normal(size=(20, 2)),
+                          [[0.0, 1.0, 1.0], [1.0, -0.5, 0.2],
+                           [-2.0, 3.0, 5.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCORE_CASES))
+def test_weighted_score_batch_matches_score(name):
+    fam = get_family(name)
+    rng = np.random.default_rng(2)
+    draw, thetas = _SCORE_CASES[name]
+    x, thetas = draw(rng), np.array(thetas)
+    w = rng.uniform(0.0, 1.0, (len(thetas), len(x)))
+    got = fam.weighted_score_batch(thetas, x, w)
+    for b, theta in enumerate(thetas):
+        ref = w[b] @ fam.score(theta, x)
+        np.testing.assert_allclose(got[b], ref, rtol=1e-10,
+                                   atol=1e-12 * np.abs(ref).max())
 
 
 def test_concentration_ellipse_mahalanobis():

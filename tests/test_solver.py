@@ -1,13 +1,20 @@
 """Root search: convergence, determinism, equivariance, selection rule."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from wle.families import get_family
+from wle.datasets import load_dataset
+from wle.families import DegenerateFitError, DomainError, get_family
 from wle.residuals import ResidualConfig, tau_for_sample
-from wle.solver import (Root, RootSet, SCORE_RESIDUAL_TOL, SolverConfig,
-                        bootstrap_root_search, cluster_roots, select_root,
+from wle.solver import (Root, SCORE_RESIDUAL_TOL, SolverConfig,
+                        _choose_index, _solve_batch, _subsample_starts,
+                        bootstrap_root_search, build_root_set, cluster_roots,
                         solve_from)
+from wle.weights import GammaKernel, ScaledFKernel
 
 
 def _fake_root(weight_sum, mu=0.0):
@@ -16,46 +23,43 @@ def _fake_root(weight_sum, mu=0.0):
                 score_residual=0.0)
 
 
-def _root_set(weight_sums, n=30):
+def _selected(weight_sums, cfg=SolverConfig(), n=30):
+    """The root that the selection rule picks among distinct roots."""
     roots = [_fake_root(w, mu=float(i)) for i, w in enumerate(weight_sums)]
-    return RootSet(roots=roots, selected_index=0, n=n)
+    return build_root_set(roots, n, cfg).selected
 
 
 def test_selection_second_root_wins_with_enough_share():
     # 12 / (28.5 + 12) = 0.296 >= 0.25, so the smaller root is selected
-    rs = _root_set([28.5, 12.0])
-    chosen = select_root(rs, SolverConfig())
-    assert chosen.weight_sum == 12.0
+    assert _selected([28.5, 12.0]).weight_sum == 12.0
+    roots = [_fake_root(28.5), _fake_root(12.0, mu=1.0)]
+    assert _choose_index(roots, 30, SolverConfig()) == (1, "second-highest")
 
 
 def test_selection_highest_wins_when_second_too_small():
     # 5 / (29.1 + 5) = 0.147 < 0.25, so the dominant root is selected
-    rs = _root_set([29.1, 5.0])
-    chosen = select_root(rs, SolverConfig())
-    assert chosen.weight_sum == 29.1
+    assert _selected([29.1, 5.0]).weight_sum == 29.1
+    roots = [_fake_root(29.1), _fake_root(5.0, mu=1.0)]
+    assert _choose_index(roots, 30, SolverConfig()) == (0, "highest")
 
 
 def test_selection_single_root():
-    rs = _root_set([20.0])
-    assert select_root(rs, SolverConfig()).weight_sum == 20.0
+    assert _selected([20.0]).weight_sum == 20.0
 
 
 def test_selection_eligibility_share_excludes_tiny_roots():
     # with an eligibility floor of 0.55 * 30 = 16.5 the 12-weight root can
     # no longer win, while the default configuration still selects it
-    rs = _root_set([28.5, 12.0], n=30)
     cfg = SolverConfig(eligibility_share=0.55)
-    assert select_root(rs, cfg).weight_sum == 28.5
-    assert select_root(rs, SolverConfig()).weight_sum == 12.0
+    assert _selected([28.5, 12.0], cfg).weight_sum == 28.5
+    assert _selected([28.5, 12.0]).weight_sum == 12.0
     # a second root above the floor competes as usual
-    rs2 = _root_set([28.5, 17.0], n=30)
-    assert select_root(rs2, cfg).weight_sum == 17.0
+    assert _selected([28.5, 17.0], cfg).weight_sum == 17.0
 
 
 def test_selection_no_eligible_root_falls_back_to_highest():
-    rs = _root_set([5.0, 4.0], n=30)
     cfg = SolverConfig(eligibility_share=0.9)
-    assert select_root(rs, cfg).weight_sum == 5.0
+    assert _selected([5.0, 4.0], cfg).weight_sum == 5.0
 
 
 def test_cluster_roots_dedupes():
@@ -182,16 +186,135 @@ def test_sample_smaller_than_subsample_rejected():
                               GammaKernel(1.1), SolverConfig(bootstrap_m=5))
 
 
-def test_exponential_search_matches_scalar_path():
-    # the vectorized univariate path and solve_from agree on the roots
-    from wle.weights import GammaKernel
-    fam = get_family("exponential")
+def _exponential_sample():
     rng = np.random.default_rng(12)
     x = rng.exponential(1.0, 40)
     x[:8] = rng.exponential(10.0, 8)
-    rc, spec = ResidualConfig(), GammaKernel(1.05)
-    rs = bootstrap_root_search(fam, x, rc, spec, SolverConfig(seed=0))
+    return x
+
+
+def _pairs(name, a, b, transform=None):
+    ds = load_dataset(name)
+    x, y = ds.column(a), ds.column(b)
+    if transform is not None:
+        x, y = transform(x), transform(y)
+    return np.column_stack([x, y])
+
+
+# one search per family kind: (family, data, residual kind, weight kernel)
+_SEARCHES = {
+    "exponential": lambda: ("exponential", _exponential_sample(),
+                            "univariate", GammaKernel(1.05)),
+    "drosophila": lambda: ("poisson",
+                           load_dataset("drosophila").column("daughters"),
+                           "univariate", GammaKernel(1.01)),
+    "width_angle": lambda: ("bivariate_normal",
+                            _pairs("lubischew", "width", "angle"),
+                            "bivariate", GammaKernel(1.01)),
+    "hertzsprung_russell": lambda: (
+        "bivariate_normal",
+        _pairs("hertzsprung_russell", "log_temperature", "log_light"),
+        "bivariate", GammaKernel(1.01)),
+    "animals": lambda: ("normal_regression",
+                        _pairs("animals", "body_kg", "brain_g", np.log),
+                        "regression", ScaledFKernel(2.5, 1.0)),
+    "voltage_drop": lambda: ("normal_regression",
+                             _pairs("voltage_drop", "time", "voltage"),
+                             "regression", ScaledFKernel(2.5, 1.0)),
+}
+
+
+def _single_start(*args):
+    try:
+        return solve_from(*args)
+    except DegenerateFitError:
+        return None
+
+
+@pytest.mark.parametrize("case", sorted(_SEARCHES))
+def test_search_matches_single_start_path(case):
+    # every start that converges in the batch iterates exactly as
+    # solve_from from that start (the batch of one), and every root is a
+    # fixed point of it. Starts drawn into a degenerate sigma -> 0
+    # attractor amplify rounding noise; they only have to fail both ways.
+    name, data, kind, spec = _SEARCHES[case]()
+    fam, rc, cfg = get_family(name), ResidualConfig(kind=kind), \
+        SolverConfig(seed=0)
+    starts, _ = _subsample_starts(fam, data, cfg)
+    starts.insert(0, fam.mle(data))
+    batch = _solve_batch(fam, data, rc, spec, cfg, np.asarray(starts))
+    for th0, row in zip(starts, batch):
+        one = _single_start(fam, data, rc, spec, cfg, th0)
+        if row is None or not row.converged:
+            assert one is None or not one.converged
+            continue
+        assert one.converged and one.iterations == row.iterations
+        np.testing.assert_allclose(one.theta, row.theta, rtol=1e-10)
+        np.testing.assert_allclose(one.weights, row.weights, rtol=1e-10,
+                                   atol=1e-13)
+    rs = bootstrap_root_search(fam, data, rc, spec, cfg)
+    assert rs.roots
     for r in rs.roots:
-        again = solve_from(fam, x, rc, spec, SolverConfig(), r.theta)
-        assert again.converged
-        np.testing.assert_allclose(again.theta, r.theta, rtol=1e-6)
+        again = solve_from(fam, data, rc, spec, cfg, r.theta)
+        assert again.converged and again.iterations == 1
+        assert (np.max(np.abs(again.theta - r.theta))
+                / (1.0 + np.max(np.abs(r.theta)))) < cfg.tol
+
+
+def test_hertzsprung_russell_search_emits_no_warning():
+    # the starts whose weights collapse onto about one star used to leave
+    # a divide-by-zero warning behind (rho = c / sqrt(s1 * s2 = 0))
+    name, data, kind, spec = _SEARCHES["hertzsprung_russell"]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = bootstrap_root_search(get_family(name), data,
+                                   ResidualConfig(kind=kind), spec,
+                                   SolverConfig(seed=0))
+    assert rs.selected.converged
+
+
+def _search_and_start(name, data, kind="univariate", theta0=None):
+    fam, rc = get_family(name), ResidualConfig(kind=kind)
+    with pytest.raises(DomainError):
+        bootstrap_root_search(fam, data, rc, GammaKernel(1.1),
+                              SolverConfig(seed=0))
+    if theta0 is not None:
+        with pytest.raises(DomainError):
+            solve_from(fam, data, rc, GammaKernel(1.1), SolverConfig(),
+                       theta0)
+
+
+_finite = hst.floats(min_value=-1e3, max_value=1e3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.lists(_finite, min_size=6, max_size=30),
+       hst.sampled_from([np.nan, np.inf, -np.inf]), hst.integers(0, 10**6),
+       hst.booleans())
+def test_non_finite_data_rejected_without_warnings(values, bad, where, pairs):
+    x = np.array(values)
+    x[where % x.size] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _search_and_start("normal", x, theta0=[0.0, 1.0])
+        xy = np.column_stack([x, x[::-1]])
+        if pairs:
+            _search_and_start("bivariate_normal", xy, "bivariate",
+                              [0.0, 0.0, 1.0, 1.0, 0.0])
+        else:
+            _search_and_start("normal_regression", xy, "regression",
+                              [0.0, 1.0, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.lists(hst.integers(0, 20), min_size=6, max_size=30),
+       hst.one_of(hst.integers(-50, -1).map(float),
+                  hst.floats(min_value=0.01, max_value=0.99)),
+       hst.integers(0, 10**6))
+def test_poisson_rejects_out_of_support_data(counts, bad, where):
+    # negative counts, or non-integer ones, are not Poisson observations
+    x = np.array(counts, dtype=float)
+    x[where % x.size] = bad if bad < 0 else x[where % x.size] + bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _search_and_start("poisson", x, theta0=[1.0])
