@@ -10,17 +10,16 @@ Monte-Carlo engine, and a reference-table reproduction harness.
 
 from .datasets import Dataset, DatasetError, dataset_names, load_dataset
 from .diagnostics import (ContaminationSpec, InfluenceReport,
-                          ModelDistribution, concentration_ellipse,
-                          curve_to_csv, ellipse_polyline,
+                          ModelDistribution, curve_to_csv,
                           fisher_consistency_check, influence_first_order,
                           influence_report, influence_second_order,
                           mixture_root_scan, population_weighted_score)
 from .families import (BivariateNormal, DegenerateFitError, DomainError,
                        Exponential, FAMILIES, Normal, NormalLocation,
-                       NormalRegression, Poisson, get_family)
+                       NormalRegression, Poisson, concentration_ellipse,
+                       ellipse_polyline, get_family)
 from .quadrature import Quadrature, QuadratureWarning
-from .residuals import (EmpiricalFunctions, ResidualConfig,
-                        ZeroModelTailError, tau_for_sample)
+from .residuals import EmpiricalFunctions, ResidualConfig, tau_for_sample
 from .simulate import SCHEMES, SimulationPlan, SimulationReport, run_simulation
 from .solver import (Root, RootSet, SolverConfig, bootstrap_root_search,
                      cluster_roots, solve_from)
@@ -39,7 +38,7 @@ __all__ = [
     "Normal", "NormalLocation", "NormalRegression", "Poisson", "Quadrature",
     "QuadratureWarning", "ResidualConfig", "Root", "RootSet", "SCHEMES",
     "ScaledFKernel", "SimulationPlan", "SimulationReport", "SolverConfig",
-    "TableCell", "TableReport", "WeibullKernel", "ZeroModelTailError",
+    "TableCell", "TableReport", "WeibullKernel",
     "bootstrap_root_search", "cluster_roots", "concentration_ellipse",
     "curve_to_csv", "dataset_names", "ellipse_polyline", "export_report",
     "fisher_consistency_check", "get_family", "influence_first_order",

@@ -14,18 +14,14 @@ import numpy as np
 
 from .datasets import dataset_names, load_dataset
 from .diagnostics import (ContaminationSpec, ModelDistribution, curve_to_csv,
-                          ellipse_polyline, influence_report,
-                          mixture_root_scan)
-from .families import get_family
+                          influence_report, mixture_root_scan)
+from .families import ellipse_polyline, get_family
 from .residuals import ResidualConfig
 from .simulate import SimulationPlan, run_simulation
 from .solver import SolverConfig, bootstrap_root_search, solve_from
 from .tables import (REPRODUCTION_SEED, export_report, reproduce_table,
                      table_ids)
 from .weights import GammaKernel, GevKernel, ScaledFKernel, WeibullKernel
-
-_KIND_BY_MODEL = {"bivariate_normal": "bivariate",
-                  "normal_regression": "regression"}
 
 
 def _weight_spec(args):
@@ -68,7 +64,7 @@ def _load_columns(args):
 def _configs(args):
     family = get_family(args.model)
     rc = ResidualConfig(p=args.p, beta_exp=args.beta_exp,
-                        kind=_KIND_BY_MODEL.get(args.model, "univariate"))
+                        kind=family.kind)
     sc = SolverConfig(tol=args.tol, max_iter=args.max_iter,
                       bootstrap_b=getattr(args, "bootstrap_b", 50),
                       bootstrap_m=getattr(args, "bootstrap_m", 3),

@@ -3,8 +3,10 @@
 Everything here works at the distribution level, with no data involved:
 Fisher-consistency quadrature checks, first- and second-order influence
 analysis under point-mass contamination, root scans of the population
-weighted score under mixture contamination, and concentration ellipses
-for bivariate fits.
+weighted score under mixture contamination, and CSV export of the
+resulting curves. The residual is the solver's `tau_branch`, with a
+smooth distribution in place of the empirical one, and the integration
+ranges and medians come from the families.
 """
 
 import csv
@@ -15,10 +17,9 @@ import numpy as np
 from scipy.optimize import bisect
 from scipy.special import ndtri
 
-from .families import concentration_ellipse, ellipse_polyline  # noqa: F401
+from .families import get_family
 from .quadrature import Quadrature
-
-_TAIL_MASS = 1e-13  # integration/summation truncation leaves less than this
+from .residuals import tau_branch
 
 
 @dataclass(frozen=True)
@@ -89,38 +90,6 @@ class InfluenceReport:
     bias_curve: np.ndarray = None   # rows (eps, eps*T' + eps^2/2 * T'')
 
 
-def integration_support(family, theta):
-    """Truncated integration range leaving < 1e-13 mass in each tail."""
-    theta = np.asarray(theta, dtype=float)
-    if family.name == "normal":
-        mu, sd = theta[0], np.sqrt(theta[1])
-        return mu - 10 * sd, mu + 10 * sd
-    if family.name == "normal_location":
-        return theta[0] - 10.0, theta[0] + 10.0
-    if family.name == "exponential":
-        return 0.0, -np.log(_TAIL_MASS) / theta[0]
-    raise ValueError(f"no integration support rule for family {family.name!r}")
-
-
-def _median(family, theta):
-    """The F_theta = 1/2 split point between the two tail regions."""
-    theta = np.asarray(theta, dtype=float)
-    if family.name == "normal":
-        return float(theta[0])
-    if family.name == "normal_location":
-        return float(theta[0])
-    if family.name == "exponential":
-        return float(np.log(2.0) / theta[0])
-    raise ValueError(f"no median rule for family {family.name!r}")
-
-
-def _poisson_grid(theta):
-    """Support points of a Poisson covering all but < 1e-13 tail mass."""
-    lam = float(np.asarray(theta).reshape(-1)[0])
-    hi = int(lam + 12 * np.sqrt(lam) + 30)
-    return np.arange(0, hi + 1)
-
-
 def fisher_consistency_check(family, theta, residual_config, weight_spec,
                              quad=None):
     """Population weighted score at the model: integral of H(tau) u dF_theta.
@@ -132,39 +101,25 @@ def fisher_consistency_check(family, theta, residual_config, weight_spec,
     theta = np.asarray(theta, dtype=float)
     family.check_params(theta)
 
-    if getattr(family, "discrete", False):
-        k = _poisson_grid(theta)
-        F, S = family.cdf_survival(theta, k.astype(float))
-        tau = _population_tau(F, S, F, S, residual_config.p,
-                              residual_config.beta_exp)
+    a, b = family.integration_range(theta)
+    if family.discrete:
+        k = np.arange(a, b + 1.0)
+        F, S = family.cdf_survival(theta, k)
+        tau = tau_branch(F, S, F, S, residual_config.p,
+                         residual_config.beta_exp)
         w = weight_spec.weight(tau)
-        u = family.score(theta, k.astype(float))
-        return (w * family.pmf(theta, k.astype(float))) @ u
+        return (w * family.pmf(theta, k)) @ family.score(theta, k)
 
     quad = quad or Quadrature()
-    a, b = integration_support(family, theta)
 
     def integrand(x):
         F, S = family.cdf_survival(theta, x)
-        tau = _population_tau(F, S, F, S, residual_config.p,
-                              residual_config.beta_exp)
+        tau = tau_branch(F, S, F, S, residual_config.p,
+                         residual_config.beta_exp)
         w = weight_spec.weight(tau)
         return w[:, None] * family.score(theta, x) * family.pdf(theta, x)[:, None]
 
-    return quad.integrate(integrand, a, b, points=[_median(family, theta)])
-
-
-def _population_tau(Fg, Sg, F, S, p, beta_exp):
-    """Residual of a smooth distribution (Fg, Sg) against the model (F, S)."""
-    lower = F <= p
-    upper = F >= 1.0 - p
-    tau = np.zeros_like(np.asarray(F, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tl = Fg / F**beta_exp - 1.0
-        tu = Sg / S**beta_exp - 1.0
-    tau[lower] = tl[lower]
-    tau[upper] = tu[upper]
-    return np.where(np.isnan(tau), np.inf, tau)
+    return quad.integrate(integrand, a, b, points=[family.median(theta)])
 
 
 def influence_first_order(family, theta_g, weight_spec, y, g=None, quad=None,
@@ -179,20 +134,19 @@ def influence_first_order(family, theta_g, weight_spec, y, g=None, quad=None,
     """
     theta = np.asarray(theta_g, dtype=float)
     family.check_params(theta)
-    if getattr(family, "discrete", False):
+    if family.discrete:
         raise NotImplementedError("influence analysis covers the continuous "
                                   "univariate families")
     if g is None:
         g = ModelDistribution(family, tuple(theta))
     quad = quad or Quadrature()
-    a, b = integration_support(family, theta)
-    med = _median(family, theta)
+    a, b = family.integration_range(theta)
     y = float(y)
-    cuts = [med, y]
+    cuts = [family.median(theta), y]
 
     def pieces(x):
         F, S = family.cdf_survival(theta, x)
-        tau = _population_tau(g.cdf(x), g.survival(x), F, S, 0.5, 1.0)
+        tau = tau_branch(g.cdf(x), g.survival(x), F, S, 0.5, 1.0)
         H = weight_spec.weight(tau)
         Hp = weight_spec.weight_derivative(tau)
         u = family.score(theta, x)            # (n, d)
@@ -219,8 +173,8 @@ def influence_first_order(family, theta_g, weight_spec, y, g=None, quad=None,
     D = quad.integrate(d_integrand, a, b, points=cuts)
     N = quad.integrate(n_integrand, a, b, points=cuts)
     Fy, Sy = family.cdf_survival(theta, np.atleast_1d(y))
-    tau_y = _population_tau(np.atleast_1d(g.cdf(y)),
-                            np.atleast_1d(g.survival(y)), Fy, Sy, 0.5, 1.0)
+    tau_y = tau_branch(np.atleast_1d(g.cdf(y)), np.atleast_1d(g.survival(y)),
+                       Fy, Sy, 0.5, 1.0)
     N = N + weight_spec.weight(tau_y)[0] * family.score(theta, np.atleast_1d(y))[0]
     t_prime = np.linalg.solve(D, N)
     if return_parts:
@@ -238,13 +192,12 @@ def influence_second_order(family, theta, weight_spec, y, quad=None):
     """
     theta = np.asarray(theta, dtype=float)
     family.check_params(theta)
-    if theta.size != 1 or getattr(family, "discrete", False):
+    if theta.size != 1 or family.discrete:
         raise NotImplementedError("second-order analysis covers the "
                                   "continuous scalar-parameter families")
     quad = quad or Quadrature()
     c = weight_spec.second_derivative_at_zero()
-    a, b = integration_support(family, theta)
-    med = _median(family, theta)
+    a, b = family.integration_range(theta)
     y = float(y)
     info = float(family.fisher_information(theta)[0, 0])
     u_y = float(family.score(theta, np.atleast_1d(y))[0, 0])
@@ -270,7 +223,8 @@ def influence_second_order(family, theta, weight_spec, y, quad=None):
         g4 = family.score_curvature(theta, x)
         return dens[:, None] * np.column_stack([g1, g2, g3, g4])
 
-    i1, i2, i3, i4 = quad.integrate(groups, a, b, points=[med, y])
+    i1, i2, i3, i4 = quad.integrate(groups, a, b,
+                                    points=[family.median(theta), y])
     bracket = (c * i1
                + 2.0 * t1 * (-c * i2 + grad_u_y + info)
                + t1 * t1 * (i4 + c * i3))
@@ -300,21 +254,20 @@ def population_weighted_score(contam_spec, weight_spec, mu, p=0.5,
     """Weighted score integral of the N(mu, 1) model against a mixture."""
     quad = quad or Quadrature()
     mu = float(mu)
-    from .families import get_family
     fam = get_family("normal_location")
     theta = np.array([mu])
-    centers = [contam_spec.base.theta[0], contam_spec.contaminant.theta[0]]
-    spans = [np.sqrt(contam_spec.base.theta[-1]) if len(contam_spec.base.theta) > 1 else 1.0,
-             np.sqrt(contam_spec.contaminant.theta[-1]) if len(contam_spec.contaminant.theta) > 1 else 1.0]
-    a = min(mu - 10.0, min(c - 10 * s for c, s in zip(centers, spans)))
-    b = max(mu + 10.0, max(c + 10 * s for c, s in zip(centers, spans)))
+    ranges = [fam.integration_range(theta)] + [
+        d.family.integration_range(d.theta)
+        for d in (contam_spec.base, contam_spec.contaminant)]
+    a = min(r[0] for r in ranges)
+    b = max(r[1] for r in ranges)
     # branch boundaries of the residual in x
     cuts = [mu + ndtri(p), mu + ndtri(1.0 - p)]
 
     def integrand(x):
         F, S = fam.cdf_survival(theta, x)
-        tau = _population_tau(contam_spec.cdf(x), contam_spec.survival(x),
-                              F, S, p, beta_exp)
+        tau = tau_branch(contam_spec.cdf(x), contam_spec.survival(x),
+                         F, S, p, beta_exp)
         return weight_spec.weight(tau) * (x - mu) * contam_spec.pdf(x)
 
     return float(quad.integrate(integrand, a, b, points=cuts))

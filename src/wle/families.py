@@ -25,6 +25,7 @@ class DegenerateFitError(ValueError):
 
 
 _WEIGHT_SUM_FLOOR = 1e-12
+TAIL_MASS = 1e-13  # integration_range leaves less than this in each tail
 
 
 def _asarray1d(x):
@@ -88,15 +89,26 @@ class Family:
     def fisher_information(self, theta):
         raise NotImplementedError
 
+    def integration_range(self, theta):
+        """(a, b) leaving less than TAIL_MASS of the model in each tail."""
+        raise NotImplementedError(f"no integration range for {self.name}")
+
+    def median(self, theta):
+        """The F_theta = 1/2 split point between the two tail regions."""
+        raise NotImplementedError(f"no median for {self.name}")
+
     def mle(self, x):
         """Maximum likelihood estimate (all weights one)."""
-        n = len(x) if not np.isscalar(x) else 1
-        return self.weighted_fit(x, np.ones(n))
+        x = _asarray1d(x)
+        return self.weighted_fit(x, np.ones(len(x)))
 
     def weighted_fit(self, x, w):
-        """Solve sum_i w_i * u_theta(x_i) = 0 for frozen weights."""
-        theta = self.weighted_fit_batch(x, np.asarray(w, dtype=float)[None, :])
-        if np.any(np.isnan(theta)):
+        """Solve sum_i w_i * u_theta(x_i) = 0 for frozen weights.
+
+        The batch of one; a degenerate or non-finite fit raises."""
+        theta = self.weighted_fit_batch(_asarray1d(x),
+                                        np.asarray(w, dtype=float)[None, :])
+        if not np.all(np.isfinite(theta)):
             raise DegenerateFitError("weighted fit is degenerate (weight "
                                      "mass, spread or design collapsed)")
         return theta[0]
@@ -111,7 +123,8 @@ class Family:
     def weighted_fit_batch(self, x, w):
         """weighted_fit for each row of a (B, n) weight batch, (B, dim).
 
-        A row whose fit is degenerate comes back as NaN."""
+        A row whose fit is degenerate comes back as NaN, one that
+        overflows as NaN or inf."""
         raise NotImplementedError
 
     def weighted_score_batch(self, thetas, x, w):
@@ -177,16 +190,10 @@ class Poisson(Family):
         lam = float(np.asarray(theta).reshape(-1)[0])
         return np.array([[1.0 / lam]])
 
-    def weighted_fit(self, x, w):
-        x = _asarray1d(x)
-        w = np.asarray(w, dtype=float)
-        sw = w.sum()
-        if sw < _WEIGHT_SUM_FLOOR:
-            raise DegenerateFitError("total weight collapsed")
-        lam = float(w @ x / sw)
-        if lam <= 0:
-            raise DegenerateFitError("weighted mean of counts is zero")
-        return np.array([lam])
+    def integration_range(self, theta):
+        # the summation grid is the integers in this range
+        lam = float(np.asarray(theta).reshape(-1)[0])
+        return 0.0, float(int(lam + 12 * np.sqrt(lam) + 30))
 
     def weighted_fit_batch(self, x, w):
         lam = w @ x / _weight_sums(w)
@@ -251,19 +258,12 @@ class Normal(Family):
         s2 = theta[1]
         return np.diag([1.0 / s2, 1.0 / (2 * s2 * s2)])
 
-    def weighted_fit(self, x, w):
-        x = _asarray1d(x)
-        w = np.asarray(w, dtype=float)
-        sw = w.sum()
-        if sw < _WEIGHT_SUM_FLOOR:
-            raise DegenerateFitError("total weight collapsed")
-        mu = float(w @ x / sw)
-        s2 = float(w @ (x - mu) ** 2 / sw)
-        if s2 <= 0:
-            raise DegenerateFitError("weighted variance is zero")
-        return np.array([mu, s2])
+    def integration_range(self, theta):
+        mu, sd = theta[0], np.sqrt(theta[1])
+        return mu - 10 * sd, mu + 10 * sd
 
-    # --- batched paths used by the bootstrap root search ---
+    def median(self, theta):
+        return float(theta[0])
 
     def cdf_batch(self, thetas, x):
         z = (x[None, :] - thetas[:, 0:1]) / np.sqrt(thetas[:, 1:2])
@@ -273,7 +273,15 @@ class Normal(Family):
     def weighted_fit_batch(self, x, w):
         sw = _weight_sums(w)
         mu = w @ x / sw
-        s2 = (w * (x[None, :] - mu[:, None]) ** 2).sum(axis=1) / sw
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = w * (x[None, :] - mu[:, None]) ** 2
+        s2 = t.sum(axis=1) / sw
+        # a point of weight zero stays out of the variance even when its
+        # squared deviation overflows (0 * inf = NaN); a row that
+        # overflows comes back inf. Only such rows pay for the mask.
+        nan = np.isnan(s2)
+        if nan.any():
+            s2[nan] = np.where(w[nan] > 0, t[nan], 0.0).sum(axis=1) / sw[nan]
         s2 = np.where(s2 <= 0, np.nan, s2)
         return np.column_stack([mu, s2])
 
@@ -331,16 +339,12 @@ class Exponential(Family):
         lam = float(np.asarray(theta).reshape(-1)[0])
         return np.array([[1.0 / lam**2]])
 
-    def weighted_fit(self, x, w):
-        x = _asarray1d(x)
-        w = np.asarray(w, dtype=float)
-        sw = w.sum()
-        if sw < _WEIGHT_SUM_FLOOR:
-            raise DegenerateFitError("total weight collapsed")
-        m = float(w @ x / sw)
-        if m <= 0:
-            raise DegenerateFitError("weighted mean is zero")
-        return np.array([1.0 / m])
+    def integration_range(self, theta):
+        lam = float(np.asarray(theta).reshape(-1)[0])
+        return 0.0, -np.log(TAIL_MASS) / lam
+
+    def median(self, theta):
+        return float(np.log(2.0) / np.asarray(theta).reshape(-1)[0])
 
     def cdf_batch(self, thetas, x):
         lx = thetas[:, 0:1] * x[None, :]
@@ -393,13 +397,12 @@ class NormalLocation(Family):
     def fisher_information(self, theta):
         return np.array([[1.0]])
 
-    def weighted_fit(self, x, w):
-        x = _asarray1d(x)
-        w = np.asarray(w, dtype=float)
-        sw = w.sum()
-        if sw < _WEIGHT_SUM_FLOOR:
-            raise DegenerateFitError("total weight collapsed")
-        return np.array([float(w @ x / sw)])
+    def integration_range(self, theta):
+        mu = float(np.asarray(theta).reshape(-1)[0])
+        return mu - 10.0, mu + 10.0
+
+    def median(self, theta):
+        return float(np.asarray(theta).reshape(-1)[0])
 
     def cdf_batch(self, thetas, x):
         z = x[None, :] - thetas[:, 0:1]
@@ -457,13 +460,6 @@ class BivariateNormal(Family):
         z1 = (xy[:, 0] - t[:, 0:1]) / np.sqrt(t[:, 2:3])
         z2 = (xy[:, 1] - t[:, 1:2]) / np.sqrt(t[:, 3:4])
         return bvn_cdf(z1, z2, t[:, 4:5], quadrants=True)
-
-    def quadrant_probabilities(self, theta, xy):
-        """Model probabilities of the four quadrants at each point.
-
-        Returns an (n, 4) array ordered (ll, lg, gl, gg)."""
-        q = self.cdf_batch(np.reshape(theta, (1, -1)), xy)
-        return np.column_stack([p[0] for p in q])
 
     def cdf_survival(self, theta, xy):
         q = self.cdf_batch(np.reshape(theta, (1, -1)), xy)

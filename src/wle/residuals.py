@@ -3,18 +3,15 @@
 The residual compares the empirical distribution function with the model
 in the lower tail and the empirical survival function with the model in
 the upper tail; observations in the central region get residual zero.
-Univariate, bivariate-quadrant and regression-standardized variants share
-the same branch logic.
+Univariate data and standardized regression residuals share the one
+three-branch function `tau_branch`, which the population diagnostics use
+too; bivariate data take the quadrant of smallest model probability.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
-
-
-class ZeroModelTailError(ZeroDivisionError):
-    """Model distribution/survival function vanished at an observation."""
 
 
 @dataclass(frozen=True)
@@ -24,7 +21,8 @@ class ResidualConfig:
     `p` is the fraction of either distributional tail eligible for
     downweighting; `beta_exp` = 1 is the primary definition, other values
     are experimental. Boundary convention: F = p falls in the lower-tail
-    branch, F = 1 - p in the upper-tail branch.
+    branch, F = 1 - p in the upper-tail branch. `kind` must equal the
+    `kind` of the family it is used with; the solver checks this.
     """
 
     p: float = 0.5
@@ -124,18 +122,20 @@ class EmpiricalFunctions:
         ])
 
 
-def _tau_branch(Fn, Sn, F, S, p, beta_exp, strict=True):
-    """Three-branch residual, vectorized. With strict=False a vanished model
-    tail yields +inf (weight functions map it to zero) instead of raising.
+def tau_branch(Fn, Sn, F, S, p, beta_exp):
+    """Three-branch residual, vectorized.
 
-    Fn and Sn broadcast against F and S, so one sample's empirical
-    functions serve a whole (B, n) batch of model functions."""
+    Lower tail (F <= p): Fn / F^beta - 1. Upper tail (F >= 1 - p):
+    Sn / S^beta - 1. Zero in between. A vanished model tail gives +inf,
+    which every weight function maps to zero. Fn and Sn broadcast against
+    F and S, so one sample's empirical functions serve a whole (B, n)
+    batch of model functions; the distribution and survival functions of
+    a smooth distribution in place of Fn and Sn give its population
+    residual."""
     F = np.asarray(F, dtype=float)
     S = np.asarray(S, dtype=float)
     lower = F <= p
     upper = F >= 1.0 - p
-    if strict and (np.any(lower & (F == 0)) or np.any(upper & (S == 0))):
-        raise ZeroModelTailError("model tail probability underflowed to zero")
     if beta_exp != 1.0:
         F, S = F**beta_exp, S**beta_exp
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -146,33 +146,7 @@ def _tau_branch(Fn, Sn, F, S, p, beta_exp, strict=True):
     return tau
 
 
-def tau_univariate(config, empirical, family, theta, x):
-    """Residual at points x for a univariate family.
-
-    Lower tail (F_theta <= p): F_n/F_theta^beta - 1. Upper tail
-    (F_theta >= 1-p): S_n/S_theta^beta - 1. Zero in between. F_n and S_n
-    take the inclusive conventions at the arbitrary points x.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    F, S = family.cdf_survival(theta, x)
-    return _tau_branch(empirical.cdf(x), empirical.survival(x), F, S,
-                       config.p, config.beta_exp)
-
-
-def tau_regression(config, z_sample, z):
-    """Residual for standardized regression residuals against Phi.
-
-    `z_sample` are the standardized residuals at the current parameter;
-    they provide the empirical functions, while the model functions are
-    the standard normal distribution and survival functions.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    emp = EmpiricalFunctions(z_sample)
-    return _tau_branch(emp.cdf(z), emp.survival(z), ndtr(z), ndtr(-z),
-                       config.p, config.beta_exp)
-
-
-def _quadrant_tau(model_q, emp_q, beta_exp, strict):
+def _quadrant_tau(model_q, emp_q, beta_exp):
     """Residual from the quadrant with the smallest model probability.
 
     `model_q` are the four (B, n) model quadrant probabilities and `emp_q`
@@ -184,46 +158,42 @@ def _quadrant_tau(model_q, emp_q, beta_exp, strict):
         take = model_q[j] < pm
         pm = np.where(take, model_q[j], pm)
         emp = np.where(take, emp_q[:, j], emp)
-    if strict and np.any(pm < 1e-300):
-        raise ZeroModelTailError("minimal quadrant probability underflowed")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tau = emp / pm**beta_exp - 1.0
     return np.where(np.isfinite(tau), tau, np.inf)
 
 
-def tau_for_sample(config, family, theta, data, empirical=None, strict=False):
+def tau_for_sample(config, family, theta, data, empirical=None):
     """Residuals of every observation in `data` under `family` at `theta`.
 
     `theta` is one parameter vector, giving n residuals, or a (B, dim)
-    batch, giving one row of n residuals per parameter. This is the
-    solver-facing path: model tails that underflow give +inf residuals
-    rather than raising, so extreme outliers simply receive weight zero.
-    F_n and S_n at the sample points are the values of
+    batch, giving one row of n residuals per parameter. Model tails that
+    underflow give +inf residuals, so extreme outliers simply receive
+    weight zero. F_n and S_n at the sample points are the values of
     `EmpiricalFunctions.at_sample`: sample ranks for a continuous family
     (regression residuals included), inclusive counts for a discrete one,
     quadrant masses for bivariate data, where the residual comes from the
-    quadrant of smallest model probability. A supplied `empirical` must
-    have been built from `data`.
+    quadrant of smallest model probability. The branch follows
+    `family.kind`. A supplied `empirical` must have been built from
+    `data`.
     """
     theta = np.asarray(theta, dtype=float)
     thetas = np.atleast_2d(theta)
-    if config.kind == "regression":
+    if family.kind == "regression":
         z = family.residuals(thetas, data)
         Fn, Sn = _rank_functions(np.argsort(z, axis=-1, kind="stable"))
-        tau = _tau_branch(Fn, Sn, ndtr(z), ndtr(-z),
-                          config.p, config.beta_exp, strict=strict)
-    elif config.kind == "bivariate":
+        tau = tau_branch(Fn, Sn, ndtr(z), ndtr(-z), config.p, config.beta_exp)
+    elif family.kind == "bivariate":
         xy = np.asarray(data, dtype=float).reshape(-1, 2)
         if empirical is None:
             empirical = EmpiricalFunctions(xy, bivariate=True)
         tau = _quadrant_tau(family.cdf_batch(thetas, xy),
-                            empirical.at_sample(xy), config.beta_exp, strict)
+                            empirical.at_sample(xy), config.beta_exp)
     else:
         x = np.atleast_1d(np.asarray(data, dtype=float))
         if empirical is None:
             empirical = EmpiricalFunctions(x)
         F, S = family.cdf_batch(thetas, x)
         Fn, Sn = empirical.at_sample(x, family.discrete)
-        tau = _tau_branch(Fn, Sn, F, S, config.p, config.beta_exp,
-                          strict=strict)
+        tau = tau_branch(Fn, Sn, F, S, config.p, config.beta_exp)
     return tau if theta.ndim == 2 else tau[0]

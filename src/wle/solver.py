@@ -17,6 +17,8 @@ from .families import DegenerateFitError, DomainError
 from .residuals import EmpiricalFunctions, tau_for_sample
 
 SCORE_RESIDUAL_TOL = 1e-6  # converged roots satisfy ||sum w u||_inf < tol * n
+STALL_STEP = 64 * np.finfo(float).eps  # relative steps this small are
+                                       # rounding noise at a fixed point
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,12 @@ class RootSet:
         return self.roots[self.selected_index]
 
 
-def _checked_data(family, data):
-    """The data as floats; non-finite or out-of-support data raise."""
+def _checked_data(family, data, residual_config):
+    """The data as floats; non-finite or out-of-support data raise, and so
+    does a residual kind other than the family's."""
+    if residual_config.kind != family.kind:
+        raise ValueError(f"residual kind {residual_config.kind!r} does not "
+                         f"match the {family.kind!r} family {family.name!r}")
     data = np.asarray(data, dtype=float)
     if not np.all(np.isfinite(data)):
         raise DomainError("observations must be finite")
@@ -96,16 +102,16 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
     converged once its relative step is below `tol` and its weighted score
     is solved, ||sum_i w_i u_theta(X_i)||_inf < SCORE_RESIDUAL_TOL * n
     (ill-scaled parameters need extra iterations after the step is small);
-    it has stalled at the numerical fixed point when its step is exactly
-    zero without a solved score. Returns a list of Root-or-None aligned
-    with theta0s: non-convergence is flagged, a degenerate weighted fit
-    gives None.
+    it has stalled at a numerical fixed point when its relative step is at
+    most STALL_STEP without a solved score. Returns a list of Root-or-None
+    aligned with theta0s: non-convergence is flagged, a non-finite start
+    or a degenerate or non-finite weighted fit gives None.
     """
     thetas = np.array(theta0s, dtype=float, ndmin=2)
     nstart, n = len(thetas), len(data)
-    if empirical is None and residual_config.kind != "regression":
+    if empirical is None and family.kind != "regression":
         empirical = EmpiricalFunctions(
-            data, bivariate=residual_config.kind == "bivariate")
+            data, bivariate=family.kind == "bivariate")
 
     def weights(th):
         return weight_spec.weight(tau_for_sample(
@@ -113,14 +119,14 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
 
     iters = np.full(nstart, solver_config.max_iter)
     conv = np.zeros(nstart, dtype=bool)
-    alive = np.ones(nstart, dtype=bool)
+    alive = np.all(np.isfinite(thetas), axis=1)
     resid = np.empty(nstart)
-    W = [None] * nstart          # weights at the final theta of each row
-    active = np.arange(nstart)   # rows still iterating
-    w = weights(thetas)          # their weights at their current theta
+    W = [None] * nstart             # weights at the final theta of each row
+    active = np.flatnonzero(alive)  # rows still iterating
+    w = weights(thetas[active])     # their weights at their current theta
     for it in range(1, solver_config.max_iter + 1):
         new = family.weighted_fit_batch(data, w)
-        ok = ~np.any(np.isnan(new), axis=1)
+        ok = np.all(np.isfinite(new), axis=1)
         if not np.all(ok):
             alive[active[~ok]] = False
             active, new = active[ok], new[ok]
@@ -136,7 +142,7 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
             resid[active[near]] = r
             solved = r < SCORE_RESIDUAL_TOL * n
             conv[active[near[solved]]] = True
-            stop = near[solved | (delta[near] == 0.0)]
+            stop = near[solved | (delta[near] <= STALL_STEP)]
             if stop.size:
                 iters[active[stop]] = it
                 for i, wi in zip(active[stop], w[stop]):
@@ -165,7 +171,7 @@ def solve_from(family, data, residual_config, weight_spec, solver_config,
     weighted fit (collapsed weight mass or spread) raises
     DegenerateFitError.
     """
-    data = _checked_data(family, data)
+    data = _checked_data(family, data, residual_config)
     theta0 = np.asarray(theta0, dtype=float)
     family.check_params(theta0)
     root = _solve_batch(family, data, residual_config, weight_spec,
@@ -189,19 +195,22 @@ def cluster_roots(roots, root_tol):
 
 
 def _subsample_starts(family, data, solver_config):
-    """MLE starting values from seeded with-replacement subsamples."""
-    n = len(data)
+    """MLE starting values from seeded with-replacement subsamples.
+
+    Restart i draws its indices from its own Philox stream. The subsample
+    multiplicities form one (B, n) weight batch with a single weighted
+    fit; a degenerate or non-finite fit skips its subsample.
+    """
+    n, b = len(data), solver_config.bootstrap_b
     m = max(solver_config.bootstrap_m, family.min_subsample)
-    starts, skipped = [], 0
-    for i in range(solver_config.bootstrap_b):
-        ss = np.random.SeedSequence(solver_config.seed, spawn_key=(i,))
-        rng = np.random.Generator(np.random.Philox(ss))
-        idx = rng.integers(0, n, size=m)
-        try:
-            starts.append(family.mle(data[idx]))
-        except DegenerateFitError:
-            skipped += 1
-    return starts, skipped
+    idx = [np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        solver_config.seed, spawn_key=(i,)))).integers(0, n, size=m)
+        for i in range(b)]
+    counts = np.zeros((b, n))
+    np.add.at(counts, (np.arange(b)[:, None], np.array(idx)), 1.0)
+    fits = family.weighted_fit_batch(data, counts)
+    ok = np.all(np.isfinite(fits), axis=1)
+    return list(fits[ok]), b - int(np.count_nonzero(ok))
 
 
 def _choose_index(roots, n, solver_config):
@@ -242,16 +251,17 @@ def bootstrap_root_search(family, data, residual_config, weight_spec,
     """Enumerate distinct roots via bootstrap-subsample MLE restarts.
 
     The full-sample MLE is always included as an extra start, so the
-    MLE-like root cannot be missed by unlucky subsampling. All starts
-    iterate together as one batch. Non-finite or out-of-support data
-    raise DomainError.
+    MLE-like root cannot be missed by unlucky subsampling; a degenerate
+    or non-finite MLE fails as a start. All starts iterate together as one
+    batch. Non-finite or out-of-support data raise DomainError, and a
+    residual kind other than the family's raises ValueError.
     """
-    data = _checked_data(family, data)
+    data = _checked_data(family, data, residual_config)
     n = len(data)
     if n < max(solver_config.bootstrap_m, family.min_subsample):
         raise ValueError("sample smaller than the bootstrap subsample size")
     starts, skipped = _subsample_starts(family, data, solver_config)
-    starts.insert(0, family.mle(data))
+    starts.insert(0, family.weighted_fit_batch(data, np.ones((1, n)))[0])
     roots = _solve_batch(family, data, residual_config, weight_spec,
                          solver_config, np.asarray(starts))
     failed = sum(r is None for r in roots)

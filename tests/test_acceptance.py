@@ -17,7 +17,7 @@ from wle import (ContaminationSpec, GammaKernel, ModelDistribution,
                  fisher_consistency_check, bootstrap_root_search,
                  mixture_root_scan, reproduce_table, run_simulation,
                  solve_from)
-from wle.residuals import EmpiricalFunctions, tau_univariate
+from wle.residuals import EmpiricalFunctions, tau_branch
 from wle.weights import GevKernel, ScaledFKernel, WeibullKernel
 
 _CACHE = {}
@@ -173,8 +173,9 @@ def test_criterion_10_property_suite():
     rng = np.random.default_rng(0)
     x = rng.normal(size=50000)
     grid = np.linspace(-1.5, 1.5, 31)
-    tau = tau_univariate(ResidualConfig(), EmpiricalFunctions(x), fam,
-                         np.array([0.0, 1.0]), grid)
+    emp = EmpiricalFunctions(x)
+    tau = tau_branch(emp.cdf(grid), emp.survival(grid),
+                     *fam.cdf_survival(np.array([0.0, 1.0]), grid), 0.5, 1.0)
     checks["residual-zero"] = np.max(np.abs(tau)) < 0.02
 
     # Fisher-consistency quadrature check

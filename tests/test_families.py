@@ -10,7 +10,8 @@ from scipy.special import gammaln
 
 from wle.bvn import bvn_cdf
 from wle.families import (DegenerateFitError, DomainError, FAMILIES,
-                          concentration_ellipse, ellipse_polyline, get_family)
+                          TAIL_MASS, concentration_ellipse, ellipse_polyline,
+                          get_family)
 
 
 def test_registry():
@@ -96,7 +97,7 @@ def test_bivariate_quadrants_sum_to_one():
     fam = get_family("bivariate_normal")
     theta = np.array([0.5, -1.0, 2.0, 0.5, 0.4])
     xy = np.array([[0.0, 0.0], [1.5, -2.0], [-3.0, 1.0]])
-    q = fam.quadrant_probabilities(theta, xy)
+    q = np.column_stack([p[0] for p in fam.cdf_batch(theta[None, :], xy)])
     np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-10)
     assert np.all(q > 0)
 
@@ -283,6 +284,34 @@ def test_weighted_score_batch_matches_score(name):
         ref = w[b] @ fam.score(theta, x)
         np.testing.assert_allclose(got[b], ref, rtol=1e-10,
                                    atol=1e-12 * np.abs(ref).max())
+
+
+_RANGE_CASES = {
+    "normal": [(0.0, 1.0), (3.0, 0.25), (-20.0, 400.0)],
+    "normal_location": [(0.0,), (-4.5,)],
+    "exponential": [(0.1,), (1.0,), (7.0,)],
+    "poisson": [(0.05,), (0.4,), (2.5,), (60.0,), (1e4,)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RANGE_CASES))
+def test_integration_range_and_median(name):
+    fam = get_family(name)
+    for theta in map(np.array, _RANGE_CASES[name]):
+        a, b = fam.integration_range(theta)
+        if fam.discrete:
+            # summed over the integers 0..b: the tail is P(X >= b + 1)
+            assert a == 0
+            below, above = 0.0, fam.cdf_survival(theta, [b + 1.0])[1][0]
+        else:
+            below = fam.cdf_survival(theta, [a])[0][0]
+            above = fam.cdf_survival(theta, [b])[1][0]
+            med = fam.median(theta)
+            assert fam.cdf_survival(theta, [med])[0][0] == pytest.approx(
+                0.5, abs=1e-15)
+        # the exponential range leaves exactly TAIL_MASS, up to rounding
+        assert below <= TAIL_MASS * (1 + 1e-12)
+        assert above <= TAIL_MASS * (1 + 1e-12)
 
 
 def test_concentration_ellipse_mahalanobis():

@@ -8,11 +8,18 @@ from scipy.special import ndtr
 
 from wle.datasets import load_dataset
 from wle.families import get_family
-from wle.residuals import (EmpiricalFunctions, ResidualConfig,
-                           ZeroModelTailError, tau_for_sample,
-                           tau_regression, tau_univariate)
+from wle.residuals import (EmpiricalFunctions, ResidualConfig, tau_branch,
+                           tau_for_sample)
 from wle.solver import SolverConfig, solve_from
 from wle.weights import GammaKernel, WeibullKernel
+
+
+def _grid_tau(config, empirical, family, theta, x):
+    # the residual at arbitrary points x, with the inclusive F_n and S_n
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    F, S = family.cdf_survival(theta, x)
+    return tau_branch(empirical.cdf(x), empirical.survival(x), F, S,
+                      config.p, config.beta_exp)
 
 
 def test_empirical_inclusive_conventions():
@@ -128,7 +135,7 @@ def test_tau_zero_when_model_matches_empirical():
             return emp.cdf(xs), emp.survival(xs)
 
     cfg = ResidualConfig()
-    tau = tau_univariate(cfg, emp, Fake(), theta, x)
+    tau = _grid_tau(cfg, emp, Fake(), theta, x)
     np.testing.assert_allclose(tau, 0.0, atol=1e-12)
     del fam
 
@@ -139,7 +146,7 @@ def test_tau_branches_hand_computed():
     fam = get_family("normal")
     cfg = ResidualConfig()
     emp = EmpiricalFunctions([0.0])
-    tau = tau_univariate(cfg, emp, fam, np.array([0.0, 1.0]), [0.0])
+    tau = _grid_tau(cfg, emp, fam, np.array([0.0, 1.0]), [0.0])
     assert tau[0] == pytest.approx(1.0, rel=1e-12)
 
 
@@ -148,7 +155,7 @@ def test_tau_middle_region_zero_for_small_p():
     cfg = ResidualConfig(p=0.2)
     x = np.linspace(-2.0, 2.0, 21)
     emp = EmpiricalFunctions(x)
-    tau = tau_univariate(cfg, emp, fam, np.array([0.0, 1.0]), x)
+    tau = _grid_tau(cfg, emp, fam, np.array([0.0, 1.0]), x)
     F, _ = fam.cdf_survival(np.array([0.0, 1.0]), x)
     middle = (F > 0.2) & (F < 0.8)
     assert np.all(tau[middle] == 0.0)
@@ -160,21 +167,13 @@ def test_beta_exponent_changes_denominator():
     x = np.array([-1.0, 0.0, 1.0])
     emp = EmpiricalFunctions(x)
     theta = np.array([0.0, 1.0])
-    t1 = tau_univariate(ResidualConfig(beta_exp=1.0), emp, fam, theta, x)
-    t2 = tau_univariate(ResidualConfig(beta_exp=0.5), emp, fam, theta, x)
+    t1 = _grid_tau(ResidualConfig(beta_exp=1.0), emp, fam, theta, x)
+    t2 = _grid_tau(ResidualConfig(beta_exp=0.5), emp, fam, theta, x)
     F, S = fam.cdf_survival(theta, x)
     # lower-tail point: F_n / F^beta - 1
     assert t1[0] == pytest.approx(emp.cdf(x[0])[0] / F[0] - 1.0)
     assert t2[0] == pytest.approx(emp.cdf(x[0])[0] / np.sqrt(F[0]) - 1.0)
     del S
-
-
-def test_strict_zero_tail_raises():
-    fam = get_family("exponential")
-    x = np.array([1.0, 2.0, 5000.0])
-    emp = EmpiricalFunctions(x)
-    with pytest.raises(ZeroModelTailError):
-        tau_univariate(ResidualConfig(), emp, fam, np.array([1.0]), x)
 
 
 def test_solver_path_maps_dead_tails_to_inf():
@@ -186,8 +185,13 @@ def test_solver_path_maps_dead_tails_to_inf():
 
 
 def test_tau_regression_standard_normal_reference():
+    # at beta = (0, 0) and sigma = 1 the standardized residuals are y; with
+    # no ties their sample ranks equal the inclusive counts
     z = np.array([-1.5, -0.2, 0.3, 1.1])
-    tau = tau_regression(ResidualConfig(), z, z)
+    xy = np.column_stack([[2.0, -1.0, 0.5, 3.0], z])
+    tau = tau_for_sample(ResidualConfig(kind="regression"),
+                         get_family("normal_regression"),
+                         np.array([0.0, 0.0, 1.0]), xy)
     emp = EmpiricalFunctions(z)
     for i, zi in enumerate(z):
         if ndtr(zi) <= 0.5:
@@ -218,7 +222,7 @@ def test_population_residual_shrinks_with_n():
         x = rng.normal(size=n)
         emp = EmpiricalFunctions(x)
         grid = np.linspace(-1.5, 1.5, 31)  # interior quantiles
-        tau = tau_univariate(ResidualConfig(), emp, fam, theta, grid)
+        tau = _grid_tau(ResidualConfig(), emp, fam, theta, grid)
         sup.append(np.max(np.abs(tau)))
     assert sup[1] < sup[0]
     assert sup[1] < 0.05

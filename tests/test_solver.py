@@ -273,6 +273,108 @@ def test_hertzsprung_russell_search_emits_no_warning():
     assert rs.selected.converged
 
 
+@pytest.mark.parametrize("case", ["animals", "voltage_drop"])
+def test_stuck_rows_stall_before_the_budget(case):
+    # starts drawn into a sigma -> 0 exact fit reach a numerical fixed point
+    # whose relative step jitters at rounding size instead of being exactly
+    # zero; they stall there rather than run out of iterations
+    name, data, kind, spec = _SEARCHES[case]()
+    fam, rc, cfg = get_family(name), ResidualConfig(kind=kind), \
+        SolverConfig(seed=0)
+    starts, _ = _subsample_starts(fam, data, cfg)
+    rows = [r for r in _solve_batch(fam, data, rc, spec, cfg,
+                                    np.asarray(starts)) if r is not None]
+    stuck = [r for r in rows if not r.converged]
+    assert stuck and any(r.converged for r in rows)
+    assert all(r.iterations < cfg.max_iter for r in stuck)
+
+
+# one sample per family for the comparison of the batched starts
+_START_SAMPLES = {
+    "poisson": lambda: load_dataset("drosophila").column("daughters"),
+    "normal": lambda: load_dataset("newcomb").column("deviation"),
+    "normal_location": lambda: load_dataset("newcomb").column("deviation"),
+    "exponential": _exponential_sample,
+    "bivariate_normal": lambda: _pairs("lubischew", "width", "angle"),
+    "normal_regression": lambda: _pairs("animals", "body_kg", "brain_g",
+                                        np.log),
+}
+
+
+def _one_at_a_time(fam, data, cfg):
+    """Each restart's subsample MLE, fitted alone; None when degenerate."""
+    n, m = len(data), max(cfg.bootstrap_m, fam.min_subsample)
+    fits = []
+    for i in range(cfg.bootstrap_b):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(cfg.seed, spawn_key=(i,))))
+        try:
+            fits.append(fam.mle(data[rng.integers(0, n, size=m)]))
+        except DegenerateFitError:
+            fits.append(None)
+    return fits
+
+
+@pytest.mark.parametrize("name", sorted(_START_SAMPLES))
+def test_batched_starts_match_subsample_mles(name):
+    # the one batched fit gives every subsample's MLE. A regression
+    # subsample of two distinct points is an exact fit, sigma = 0 up to
+    # rounding: one path can skip it while the other keeps a sigma of
+    # rounding size, so such fits are set aside on both sides
+    fam, data = get_family(name), _START_SAMPLES[name]()
+    for seed in range(4):
+        cfg = SolverConfig(seed=seed)
+        starts, skipped = _subsample_starts(fam, data, cfg)
+        ref = _one_at_a_time(fam, data, cfg)
+        kept = [r for r in ref if r is not None]
+        scale = np.max(np.abs(kept), axis=0)
+
+        def fitted(fits):
+            return [f for f in fits if fam.kind != "regression"
+                    or f[-1] > 1e-12 * scale[-1]]
+
+        ours, theirs = np.array(fitted(starts)), np.array(fitted(kept))
+        assert skipped + len(starts) - len(ours) == len(ref) - len(theirs)
+        # rtol 1e-12, with each parameter's scale as the floor
+        assert np.all(np.abs(ours - theirs)
+                      <= 1e-12 * (np.abs(theirs) + scale))
+
+
+def test_huge_finite_outlier_gets_weight_zero():
+    # a finite 1e300 overflows the squared deviations; the point gets
+    # weight zero and the fit of the rest stands, with no numpy warning
+    x = load_dataset("newcomb").column("deviation").copy()
+    x[0] = 1e300
+    fam = get_family("normal")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = bootstrap_root_search(fam, x, ResidualConfig(), GammaKernel(1.01),
+                                   SolverConfig(seed=0))
+        with pytest.raises(DegenerateFitError):
+            fam.mle(x)
+    root = rs.selected
+    assert root.converged and root.weights[0] == 0.0
+    np.testing.assert_allclose(root.theta, [27.7491, 25.6905], atol=5e-5)
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("normal", "bivariate"), ("normal", "regression"),
+    ("poisson", "regression"), ("bivariate_normal", "univariate"),
+    ("bivariate_normal", "regression"), ("normal_regression", "univariate"),
+    ("normal_regression", "bivariate")])
+def test_residual_kind_must_match_family(name, kind):
+    fam = get_family(name)
+    data = (_pairs("animals", "body_kg", "brain_g", np.log)
+            if fam.kind != "univariate"
+            else load_dataset("drosophila").column("daughters"))
+    rc = ResidualConfig(kind=kind)
+    with pytest.raises(ValueError, match=f"{kind}.*{fam.kind}"):
+        bootstrap_root_search(fam, data, rc, GammaKernel(1.1), SolverConfig())
+    with pytest.raises(ValueError, match=f"{kind}.*{fam.kind}"):
+        solve_from(fam, data, rc, GammaKernel(1.1), SolverConfig(),
+                   fam.mle(data))
+
+
 def _search_and_start(name, data, kind="univariate", theta0=None):
     fam, rc = get_family(name), ResidualConfig(kind=kind)
     with pytest.raises(DomainError):
