@@ -9,32 +9,29 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .datasets import dataset_names, load_dataset
 from .diagnostics import (ContaminationSpec, ModelDistribution, curve_to_csv,
                           influence_report, mixture_root_scan)
-from .families import ellipse_polyline, get_family
+from .families import FAMILIES, ellipse_polyline, get_family
 from .residuals import ResidualConfig
-from .simulate import SimulationPlan, run_simulation
+from .simulate import SCHEMES, SimulationPlan, run_simulation
 from .solver import SolverConfig, bootstrap_root_search, solve_from
 from .tables import (REPRODUCTION_SEED, export_report, reproduce_table,
                      table_ids)
-from .weights import GammaKernel, GevKernel, ScaledFKernel, WeibullKernel
+from .weights import KERNELS
 
 
 def _weight_spec(args):
-    name = args.weight_fn
-    if name == "gamma":
-        return GammaKernel(args.alpha)
-    if name == "weibull":
-        return WeibullKernel(args.k)
-    if name == "gev":
-        return GevKernel(args.xi)
-    if name == "scaled_f":
-        return ScaledFKernel(args.d1, args.d2)
-    raise SystemExit(f"unknown weight function {name!r}")
+    """The --weight-fn kernel, its tuning parameters read from the flags
+    named after its fields."""
+    kernel = KERNELS.get(args.weight_fn)
+    if kernel is None:
+        raise SystemExit(f"unknown weight function {args.weight_fn!r}")
+    return kernel(**{f.name: getattr(args, f.name) for f in fields(kernel)})
 
 
 def _load_columns(args):
@@ -158,9 +155,7 @@ def _cmd_reproduce(args):
 
 def _add_model_args(p, model_required=True):
     p.add_argument("--model", required=model_required,
-                   choices=["poisson", "normal", "exponential",
-                            "normal_location", "bivariate_normal",
-                            "normal_regression"])
+                   choices=list(FAMILIES))
     p.add_argument("--data", required=model_required,
                    help="bundled dataset name or CSV file path")
     p.add_argument("--columns", default=None,
@@ -171,7 +166,7 @@ def _add_model_args(p, model_required=True):
 
 def _add_weight_args(p, default="gamma"):
     p.add_argument("--weight-fn", default=default,
-                   choices=["gamma", "weibull", "gev", "scaled_f", "none"])
+                   choices=[*KERNELS, "none"])
     p.add_argument("--alpha", type=float, default=1.01)
     p.add_argument("--k", type=float, default=1.01)
     p.add_argument("--xi", type=float, default=10.0)
@@ -205,8 +200,7 @@ def build_parser():
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("simulate", help="contamination Monte Carlo study")
-    p.add_argument("--scheme", default="scale",
-                   choices=["scale", "location", "exponential"])
+    p.add_argument("--scheme", default="scale", choices=list(SCHEMES))
     p.add_argument("--eps-grid", default="0,0.1,0.2,0.3,0.4,0.5")
     p.add_argument("--n", type=int, default=30)
     p.add_argument("--reps", type=int, default=1000)

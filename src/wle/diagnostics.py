@@ -24,7 +24,11 @@ from .residuals import tau_branch
 
 @dataclass(frozen=True)
 class ModelDistribution:
-    """A parametric family frozen at a parameter value."""
+    """A parametric family frozen at a parameter value.
+
+    Like every distribution the diagnostics take, it offers
+    `cdf_survival(x)`, the pair (F(x), S(x)) with S(x) = P(X >= x), and
+    `pdf(x)`."""
 
     family: object
     theta: tuple
@@ -32,11 +36,8 @@ class ModelDistribution:
     def __post_init__(self):
         self.family.check_params(np.asarray(self.theta, dtype=float))
 
-    def cdf(self, x):
-        return self.family.cdf_survival(np.asarray(self.theta, float), x)[0]
-
-    def survival(self, x):
-        return self.family.cdf_survival(np.asarray(self.theta, float), x)[1]
+    def cdf_survival(self, x):
+        return self.family.cdf_survival(np.asarray(self.theta, float), x)
 
     def pdf(self, x):
         return self.family.pdf(np.asarray(self.theta, float), x)
@@ -61,21 +62,22 @@ class ContaminationSpec:
         if (self.y is None) == (self.contaminant is None):
             raise ValueError("specify exactly one of y and contaminant")
 
-    def _mix(self, attr, x):
+    def _mix(self, base, contaminant):
+        return (1.0 - self.eps) * base + self.eps * contaminant
+
+    def _smooth_contaminant(self):
         if self.contaminant is None:
             raise ValueError("point-mass contamination has no smooth "
-                             f"{attr}; handle the atom analytically")
-        return ((1.0 - self.eps) * getattr(self.base, attr)(x)
-                + self.eps * getattr(self.contaminant, attr)(x))
+                             "distribution; handle the atom analytically")
+        return self.contaminant
 
-    def cdf(self, x):
-        return self._mix("cdf", x)
-
-    def survival(self, x):
-        return self._mix("survival", x)
+    def cdf_survival(self, x):
+        Fc, Sc = self._smooth_contaminant().cdf_survival(x)
+        Fb, Sb = self.base.cdf_survival(x)
+        return self._mix(Fb, Fc), self._mix(Sb, Sc)
 
     def pdf(self, x):
-        return self._mix("pdf", x)
+        return self._mix(self.base.pdf(x), self._smooth_contaminant().pdf(x))
 
 
 @dataclass
@@ -126,7 +128,7 @@ def influence_first_order(family, theta_g, weight_spec, y, g=None, quad=None,
                           return_parts=False):
     """First-order influence T'(y) = D^{-1} N under point-mass contamination.
 
-    `g` is the true distribution (anything with cdf/survival/pdf); it
+    `g` is the true distribution (anything with cdf_survival and pdf); it
     defaults to the model at theta_g, in which case the result must equal
     the maximum-likelihood influence I(theta)^{-1} u_theta(y). The two
     integration regions are split at F_theta = 1/2 and the point-mass
@@ -146,7 +148,7 @@ def influence_first_order(family, theta_g, weight_spec, y, g=None, quad=None,
 
     def pieces(x):
         F, S = family.cdf_survival(theta, x)
-        tau = tau_branch(g.cdf(x), g.survival(x), F, S, 0.5, 1.0)
+        tau = tau_branch(*g.cdf_survival(x), F, S, 0.5, 1.0)
         H = weight_spec.weight(tau)
         Hp = weight_spec.weight_derivative(tau)
         u = family.score(theta, x)            # (n, d)
@@ -172,10 +174,10 @@ def influence_first_order(family, theta_g, weight_spec, y, g=None, quad=None,
 
     D = quad.integrate(d_integrand, a, b, points=cuts)
     N = quad.integrate(n_integrand, a, b, points=cuts)
-    Fy, Sy = family.cdf_survival(theta, np.atleast_1d(y))
-    tau_y = tau_branch(np.atleast_1d(g.cdf(y)), np.atleast_1d(g.survival(y)),
-                       Fy, Sy, 0.5, 1.0)
-    N = N + weight_spec.weight(tau_y)[0] * family.score(theta, np.atleast_1d(y))[0]
+    ys = np.atleast_1d(y)
+    tau_y = tau_branch(*g.cdf_survival(ys), *family.cdf_survival(theta, ys),
+                       0.5, 1.0)
+    N = N + weight_spec.weight(tau_y)[0] * family.score(theta, ys)[0]
     t_prime = np.linalg.solve(D, N)
     if return_parts:
         return t_prime, D, N
@@ -265,9 +267,8 @@ def population_weighted_score(contam_spec, weight_spec, mu, p=0.5,
     cuts = [mu + ndtri(p), mu + ndtri(1.0 - p)]
 
     def integrand(x):
-        F, S = fam.cdf_survival(theta, x)
-        tau = tau_branch(contam_spec.cdf(x), contam_spec.survival(x),
-                         F, S, p, beta_exp)
+        tau = tau_branch(*contam_spec.cdf_survival(x),
+                         *fam.cdf_survival(theta, x), p, beta_exp)
         return weight_spec.weight(tau) * (x - mu) * contam_spec.pdf(x)
 
     return float(quad.integrate(integrand, a, b, points=cuts))

@@ -1,10 +1,12 @@
 """Parametric families exposing the quantities the estimating equation needs.
 
-Each family provides the log-density score, distribution and survival
-functions, their parameter gradients, the Fisher information and a
-closed-form weighted fit (the inner step of the reweighting iteration).
-The solver calls batched forms of the model functions, the weighted fit
-and the weighted score, with one row per start of a root search.
+Each family provides the log-density score, one distribution-and-survival
+function `cdf_survival` and a closed-form weighted fit (the inner step of
+the reweighting iteration); the univariate families add the Fisher
+information, and the continuous ones the parameter gradients, that the
+influence analysis needs.
+`cdf_survival`, the weighted fit and the weighted score take a batch of
+parameters or weights, with one row per start of a root search.
 Five families are supported: Poisson, univariate normal, exponential,
 bivariate normal and normal linear regression.
 """
@@ -39,8 +41,6 @@ class Family:
     """Base class; subclasses fill in the analytic pieces."""
 
     name = ""
-    dim = 0
-    param_names = ()
     kind = "univariate"  # univariate | bivariate | regression
     discrete = False
     min_subsample = 2    # smallest subsample that identifies the parameters
@@ -56,35 +56,11 @@ class Family:
         raise NotImplementedError
 
     def cdf_survival(self, theta, x):
-        """(F_theta(x), S_theta(x)); S uses the `X >= x` convention."""
+        """(F_theta(x), S_theta(x)); S uses the `X >= x` convention.
+
+        A (dim,) theta gives two (n,) arrays; a (B, dim) batch gives two
+        (B, n) arrays whose row b is the value under parameter row b."""
         raise NotImplementedError
-
-    def cdf_gradient(self, theta, x):
-        """d/dtheta F_theta(x), shape (n, dim). Default: central differences."""
-        theta = np.asarray(theta, dtype=float)
-        x = _asarray1d(x)
-        grad = np.empty((x.size, theta.size))
-        for j in range(theta.size):
-            h = 1e-6 * max(1.0, abs(theta[j]))
-            tp, tm = theta.copy(), theta.copy()
-            tp[j] += h
-            tm[j] -= h
-            grad[:, j] = (self.cdf_survival(tp, x)[0]
-                          - self.cdf_survival(tm, x)[0]) / (2 * h)
-        return grad
-
-    def score_jacobian(self, theta, x):
-        """d/dtheta of the score, shape (n, dim, dim). Default: central diffs."""
-        theta = np.asarray(theta, dtype=float)
-        n = len(_asarray1d(x)) if self.kind == "univariate" else len(x)
-        jac = np.empty((n, theta.size, theta.size))
-        for j in range(theta.size):
-            h = 1e-6 * max(1.0, abs(theta[j]))
-            tp, tm = theta.copy(), theta.copy()
-            tp[j] += h
-            tm[j] -= h
-            jac[:, :, j] = (self.score(tp, x) - self.score(tm, x)) / (2 * h)
-        return jac
 
     def fisher_information(self, theta):
         raise NotImplementedError
@@ -116,10 +92,6 @@ class Family:
     # Batched pieces of the fixed-point iteration: row b of `thetas` or of
     # the weights `w` belongs to the b-th start, and x is the whole sample.
 
-    def cdf_batch(self, thetas, x):
-        """(F, S) at x under each parameter row, each of shape (B, n)."""
-        raise NotImplementedError
-
     def weighted_fit_batch(self, x, w):
         """weighted_fit for each row of a (B, n) weight batch, (B, dim).
 
@@ -140,8 +112,6 @@ def _weight_sums(w):
 
 class Poisson(Family):
     name = "poisson"
-    dim = 1
-    param_names = ("theta",)
     kind = "univariate"
     discrete = True
 
@@ -173,15 +143,11 @@ class Poisson(Family):
         return 2.0 * _asarray1d(x) / lam**3
 
     def cdf_survival(self, theta, x):
-        F, S = self.cdf_batch(np.reshape(theta, (1, -1)), _asarray1d(x))
-        return F[0], S[0]
-
-    def cdf_batch(self, thetas, x):
         # regularized incomplete gamma functions; the survival side is
         # computed directly, so extreme right tails keep their relative
         # accuracy
-        lam = np.asarray(thetas, dtype=float)[:, 0:1]
-        k = np.floor(x)
+        lam = np.asarray(theta, dtype=float)[..., 0:1]
+        k = np.floor(_asarray1d(x))
         F = pdtr(k, lam)
         S = np.where(k >= 1, pdtrc(np.maximum(k - 1.0, 0.0), lam), 1.0)
         return np.minimum(F, 1.0), np.minimum(S, 1.0)
@@ -207,8 +173,6 @@ class Normal(Family):
     """Univariate normal parametrized by (mu, sigma^2)."""
 
     name = "normal"
-    dim = 2
-    param_names = ("mu", "sigma2")
     kind = "univariate"
 
     def check_params(self, theta):
@@ -230,8 +194,8 @@ class Normal(Family):
         return np.column_stack([d / s2, (d * d - s2) / (2 * s2 * s2)])
 
     def cdf_survival(self, theta, x):
-        mu, s2 = theta
-        z = (_asarray1d(x) - mu) / np.sqrt(s2)
+        t = np.asarray(theta, dtype=float)
+        z = (_asarray1d(x) - t[..., 0:1]) / np.sqrt(t[..., 1:2])
         return ndtr(z), ndtr(-z)
 
     def cdf_gradient(self, theta, x):
@@ -265,11 +229,6 @@ class Normal(Family):
     def median(self, theta):
         return float(theta[0])
 
-    def cdf_batch(self, thetas, x):
-        z = (x[None, :] - thetas[:, 0:1]) / np.sqrt(thetas[:, 1:2])
-        F = ndtr(z)
-        return F, ndtr(-z)
-
     def weighted_fit_batch(self, x, w):
         sw = _weight_sums(w)
         mu = w @ x / sw
@@ -296,8 +255,6 @@ class Normal(Family):
 
 class Exponential(Family):
     name = "exponential"
-    dim = 1
-    param_names = ("lam",)
     kind = "univariate"
 
     def check_params(self, theta):
@@ -321,9 +278,8 @@ class Exponential(Family):
         return np.full(_asarray1d(x).size, 2.0 / lam**3)
 
     def cdf_survival(self, theta, x):
-        lam = float(np.asarray(theta).reshape(-1)[0])
-        S = np.exp(-lam * _asarray1d(x))
-        return -np.expm1(-lam * _asarray1d(x)), S
+        lx = np.asarray(theta, dtype=float)[..., 0:1] * _asarray1d(x)
+        return -np.expm1(-lx), np.exp(-lx)
 
     def cdf_gradient(self, theta, x):
         lam = float(np.asarray(theta).reshape(-1)[0])
@@ -346,10 +302,6 @@ class Exponential(Family):
     def median(self, theta):
         return float(np.log(2.0) / np.asarray(theta).reshape(-1)[0])
 
-    def cdf_batch(self, thetas, x):
-        lx = thetas[:, 0:1] * x[None, :]
-        return -np.expm1(-lx), np.exp(-lx)
-
     def weighted_fit_batch(self, x, w):
         m = w @ x / _weight_sums(w)
         return np.where(m > 0, 1.0 / m, np.nan)[:, None]
@@ -362,8 +314,6 @@ class NormalLocation(Family):
     """Normal location model with known unit variance, N(mu, 1)."""
 
     name = "normal_location"
-    dim = 1
-    param_names = ("mu",)
     kind = "univariate"
 
     def check_params(self, theta):
@@ -384,7 +334,7 @@ class NormalLocation(Family):
         return np.zeros(_asarray1d(x).size)
 
     def cdf_survival(self, theta, x):
-        z = _asarray1d(x) - float(np.asarray(theta).reshape(-1)[0])
+        z = _asarray1d(x) - np.asarray(theta, dtype=float)[..., 0:1]
         return ndtr(z), ndtr(-z)
 
     def cdf_gradient(self, theta, x):
@@ -404,10 +354,6 @@ class NormalLocation(Family):
     def median(self, theta):
         return float(np.asarray(theta).reshape(-1)[0])
 
-    def cdf_batch(self, thetas, x):
-        z = x[None, :] - thetas[:, 0:1]
-        return ndtr(z), ndtr(-z)
-
     def weighted_fit_batch(self, x, w):
         return (w @ x / _weight_sums(w))[:, None]
 
@@ -419,8 +365,6 @@ class BivariateNormal(Family):
     """Bivariate normal parametrized by (mu1, mu2, sigma1^2, sigma2^2, rho)."""
 
     name = "bivariate_normal"
-    dim = 5
-    param_names = ("mu1", "mu2", "sigma1_sq", "sigma2_sq", "rho")
     kind = "bivariate"
     min_subsample = 3
 
@@ -433,11 +377,13 @@ class BivariateNormal(Family):
         pass
 
     def _standardize(self, theta, xy):
-        mu1, mu2, s1, s2, rho = theta
+        """Standardized coordinates (z1, z2) and rho; a (B, 5) batch gives
+        (B, n) rows."""
+        t = np.asarray(theta, dtype=float)
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        z1 = (xy[:, 0] - mu1) / np.sqrt(s1)
-        z2 = (xy[:, 1] - mu2) / np.sqrt(s2)
-        return z1, z2, rho
+        z1 = (xy[:, 0] - t[..., 0:1]) / np.sqrt(t[..., 2:3])
+        z2 = (xy[:, 1] - t[..., 1:2]) / np.sqrt(t[..., 3:4])
+        return z1, z2, t[..., 4:5]
 
     def score(self, theta, xy):
         mu1, mu2, s1, s2, rho = theta
@@ -452,30 +398,14 @@ class BivariateNormal(Family):
                    + (z1 * z2 * (1 + rho * rho) - rho * (z1**2 + z2**2)) / r2**2)
         return u
 
-    def cdf_batch(self, thetas, xy):
-        """Quadrant probabilities (ll, lg, gl, gg) at each point under each
-        parameter row, a tuple of four (B, n) arrays."""
-        t = np.asarray(thetas, dtype=float)
-        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        z1 = (xy[:, 0] - t[:, 0:1]) / np.sqrt(t[:, 2:3])
-        z2 = (xy[:, 1] - t[:, 1:2]) / np.sqrt(t[:, 3:4])
-        return bvn_cdf(z1, z2, t[:, 4:5], quadrants=True)
-
-    def cdf_survival(self, theta, xy):
-        q = self.cdf_batch(np.reshape(theta, (1, -1)), xy)
-        return q[0][0], q[3][0]
-
-    def fisher_information(self, theta):
-        # Quadrature of u u^T against the density via Gauss-Hermite nodes.
-        mu1, mu2, s1, s2, rho = theta
-        nodes, wts = np.polynomial.hermite_e.hermegauss(80)
-        Z1, Z2 = np.meshgrid(nodes, nodes, indexing="ij")
-        W = np.outer(wts, wts) / (2 * np.pi)
-        # map independent (Z1, Z2) to correlated coordinates
-        x = mu1 + np.sqrt(s1) * Z1
-        y = mu2 + np.sqrt(s2) * (rho * Z1 + np.sqrt(1 - rho**2) * Z2)
-        u = self.score(theta, np.column_stack([x.ravel(), y.ravel()]))
-        return (u[:, :, None] * u[:, None, :] * W.ravel()[:, None, None]).sum(axis=0)
+    def quadrant_probabilities(self, theta, xy):
+        """Quadrant probabilities (ll, lg, gl, gg) at each point, a tuple of
+        four (n,) arrays, or of four (B, n) arrays for a (B, 5) batch."""
+        # a huge finite outlier standardizes to +-inf, and its quadrant
+        # probability to 0: its residual is inf and its weight 0
+        with np.errstate(over="ignore"):
+            z1, z2, rho = self._standardize(theta, xy)
+            return bvn_cdf(z1, z2, rho, quadrants=True)
 
     def weighted_fit_batch(self, xy, w):
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
@@ -483,15 +413,17 @@ class BivariateNormal(Family):
         mu1, mu2 = w @ xy[:, 0] / sw, w @ xy[:, 1] / sw
         d1 = xy[:, 0] - mu1[:, None]
         d2 = xy[:, 1] - mu2[:, None]
-        wd1 = w * d1
-        s1 = (wd1 * d1).sum(axis=1) / sw
-        s2 = (w * d2 * d2).sum(axis=1) / sw
-        c = (wd1 * d2).sum(axis=1) / sw
-        # weights collapsed onto about one point can leave s1, s2 > 0 with
-        # a product that underflows to zero
-        v = s1 * s2
-        v = np.where((s1 <= 0) | (s2 <= 0) | (v <= 0), np.nan, v)
-        rho = np.clip(c / np.sqrt(v), -0.9999, 0.9999)
+        # a row whose moments overflow comes back non-finite and is dropped
+        with np.errstate(over="ignore", invalid="ignore"):
+            wd1 = w * d1
+            s1 = (wd1 * d1).sum(axis=1) / sw
+            s2 = (w * d2 * d2).sum(axis=1) / sw
+            c = (wd1 * d2).sum(axis=1) / sw
+            # weights collapsed onto about one point can leave s1, s2 > 0
+            # with a product that underflows to zero
+            v = s1 * s2
+            v = np.where((s1 <= 0) | (s2 <= 0) | (v <= 0), np.nan, v)
+            rho = np.clip(c / np.sqrt(v), -0.9999, 0.9999)
         return np.column_stack([mu1, mu2, s1, s2, rho])
 
     def weighted_score_batch(self, thetas, xy, w):
@@ -523,8 +455,6 @@ class NormalRegression(Family):
     """
 
     name = "normal_regression"
-    dim = 3
-    param_names = ("beta0", "beta1", "sigma")
     kind = "regression"
     min_subsample = 3
 
@@ -541,7 +471,10 @@ class NormalRegression(Family):
         A (B, 3) parameter batch gives one (B, n) row per parameter."""
         t = np.asarray(theta, dtype=float)
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        return (xy[:, 1] - t[..., 0:1] - t[..., 1:2] * xy[:, 0]) / t[..., 2:3]
+        # a huge outlier's residual overflows to +-inf: its weight is 0
+        with np.errstate(over="ignore"):
+            return ((xy[:, 1] - t[..., 0:1] - t[..., 1:2] * xy[:, 0])
+                    / t[..., 2:3])
 
     def score(self, theta, xy):
         b0, b1, sig = theta
@@ -556,19 +489,6 @@ class NormalRegression(Family):
     def cdf_survival(self, theta, xy):
         z = self.residuals(theta, xy)
         return ndtr(z), ndtr(-z)
-
-    def fisher_information(self, theta, x_design=None):
-        """Average per-observation information for a fixed design."""
-        if x_design is None:
-            raise ValueError("regression information requires the covariates")
-        x = np.asarray(x_design, dtype=float)
-        sig = theta[2]
-        info = np.zeros((3, 3))
-        info[0, 0] = 1.0
-        info[0, 1] = info[1, 0] = x.mean()
-        info[1, 1] = (x * x).mean()
-        info[2, 2] = 2.0
-        return info / sig**2
 
     def weighted_fit_batch(self, xy, w):
         # weighted least squares on the centred covariate: the 2x2 normal
@@ -585,7 +505,9 @@ class NormalRegression(Family):
         b1 = (wdx * (y - my[:, None])).sum(axis=1) / sxx
         b0 = my - b1 * mx
         e = y - b0[:, None] - b1[:, None] * x
-        s2 = (w * e * e).sum(axis=1) / sw
+        # a row whose variance overflows comes back inf and is dropped
+        with np.errstate(over="ignore"):
+            s2 = (w * e * e).sum(axis=1) / sw
         s2 = np.where(s2 <= 0, np.nan, s2)
         return np.column_stack([b0, b1, np.sqrt(s2)])
 

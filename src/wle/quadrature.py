@@ -6,6 +6,7 @@ Integrands receive a 1-d array of abscissae and must return an array whose
 leading axis matches it; trailing axes are integrated componentwise.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -14,6 +15,13 @@ import numpy as np
 
 class QuadratureWarning(UserWarning):
     """Requested tolerance could not be certified."""
+
+
+@functools.cache
+def _gauss_legendre(order):
+    """Nodes and weights of the order-point rule on [-1, 1]; each order's
+    eigenvalue solve runs once."""
+    return np.polynomial.legendre.leggauss(order)
 
 
 @dataclass(frozen=True)
@@ -31,7 +39,7 @@ class Quadrature:
             raise ValueError("panel order must be at least 2")
 
     def _panel(self, f, a, b):
-        nodes, weights = np.polynomial.legendre.leggauss(self.order)
+        nodes, weights = _gauss_legendre(self.order)
         x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         fx = np.asarray(f(x), dtype=float)
         return 0.5 * (b - a) * np.tensordot(weights, fx, axes=(0, 0))

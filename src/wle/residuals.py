@@ -187,13 +187,13 @@ def tau_for_sample(config, family, theta, data, empirical=None):
         xy = np.asarray(data, dtype=float).reshape(-1, 2)
         if empirical is None:
             empirical = EmpiricalFunctions(xy, bivariate=True)
-        tau = _quadrant_tau(family.cdf_batch(thetas, xy),
+        tau = _quadrant_tau(family.quadrant_probabilities(thetas, xy),
                             empirical.at_sample(xy), config.beta_exp)
     else:
         x = np.atleast_1d(np.asarray(data, dtype=float))
         if empirical is None:
             empirical = EmpiricalFunctions(x)
-        F, S = family.cdf_batch(thetas, x)
+        F, S = family.cdf_survival(thetas, x)
         Fn, Sn = empirical.at_sample(x, family.discrete)
         tau = tau_branch(Fn, Sn, F, S, config.p, config.beta_exp)
     return tau if theta.ndim == 2 else tau[0]

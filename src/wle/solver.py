@@ -17,6 +17,9 @@ from .families import DegenerateFitError, DomainError
 from .residuals import EmpiricalFunctions, tau_for_sample
 
 SCORE_RESIDUAL_TOL = 1e-6  # converged roots satisfy ||sum w u||_inf < tol * n
+ROOT_TOL = 1e-4            # relative sup-norm within which roots are one
+MIN_WEIGHT_SHARE = 0.25    # share of the combined root weight the second
+                           # root needs to win selection
 STALL_STEP = 64 * np.finfo(float).eps  # relative steps this small are
                                        # rounding noise at a fixed point
 
@@ -28,9 +31,6 @@ class SolverConfig:
                                    # 1.4% per iteration certifies after ~730
     bootstrap_b: int = 50          # number of bootstrap restarts
     bootstrap_m: int = 3           # bootstrap subsample size
-    root_tol: float = 1e-4         # relative sup-norm for root identity
-    min_weight_share: float = 0.25 # share of combined root weight needed for
-                                   # the second root to win selection
     eligibility_share: float = 0.0 # roots below this share of n are kept in
                                    # the report but never win selection
     seed: int = 0
@@ -40,8 +40,6 @@ class SolverConfig:
             raise ValueError("bootstrap restart count must be >= 1")
         if self.bootstrap_m < 2:
             raise ValueError("bootstrap subsample size must be >= 2")
-        if not 0 < self.min_weight_share < 1:
-            raise ValueError("minimum weight share must be in (0, 1)")
         if not 0 <= self.eligibility_share < 1:
             raise ValueError("eligibility share must be in [0, 1)")
 
@@ -95,7 +93,7 @@ def _checked_data(family, data, residual_config):
 
 
 def _solve_batch(family, data, residual_config, weight_spec, solver_config,
-                 theta0s, empirical=None):
+                 theta0s):
     """Reweighted fixed-point iteration from a (B, dim) batch of starts.
 
     Each row steps theta <- weighted_fit(data, w(theta)). A row has
@@ -109,9 +107,8 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
     """
     thetas = np.array(theta0s, dtype=float, ndmin=2)
     nstart, n = len(thetas), len(data)
-    if empirical is None and family.kind != "regression":
-        empirical = EmpiricalFunctions(
-            data, bivariate=family.kind == "bivariate")
+    empirical = None if family.kind == "regression" else EmpiricalFunctions(
+        data, bivariate=family.kind == "bivariate")
 
     def weights(th):
         return weight_spec.weight(tau_for_sample(
@@ -164,7 +161,7 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
 
 
 def solve_from(family, data, residual_config, weight_spec, solver_config,
-               theta0, empirical=None):
+               theta0):
     """Iterate the reweighted closed-form step from a single start.
 
     Returns a Root; non-convergence is flagged, not raised. A degenerate
@@ -175,21 +172,23 @@ def solve_from(family, data, residual_config, weight_spec, solver_config,
     theta0 = np.asarray(theta0, dtype=float)
     family.check_params(theta0)
     root = _solve_batch(family, data, residual_config, weight_spec,
-                        solver_config, theta0[None, :], empirical)[0]
+                        solver_config, theta0[None, :])[0]
     if root is None:
         raise DegenerateFitError("weighted fit degenerated during iteration")
     return root
 
 
-def _same_root(t1, t2, tol):
-    return (np.max(np.abs(t1 - t2)) / (1.0 + np.max(np.abs(t1)))) < tol
+def _same_root(t1, t2):
+    return (np.max(np.abs(t1 - t2)) / (1.0 + np.max(np.abs(t1)))) < ROOT_TOL
 
 
-def cluster_roots(roots, root_tol):
-    """Deduplicate converged roots; keep the highest-weight representative."""
+def cluster_roots(roots):
+    """Deduplicate converged roots; keep the highest-weight representative.
+
+    Two roots are one when they agree to ROOT_TOL in relative sup-norm."""
     distinct = []
     for r in sorted(roots, key=lambda r: -r.weight_sum):
-        if not any(_same_root(r.theta, d.theta, root_tol) for d in distinct):
+        if not any(_same_root(r.theta, d.theta) for d in distinct):
             distinct.append(r)
     return distinct
 
@@ -218,7 +217,7 @@ def _choose_index(roots, n, solver_config):
 
     Roots carrying less than eligibility_share * n total weight never win.
     Among the eligible roots, the second-highest weight sum wins when it
-    holds at least min_weight_share of their combined weight; otherwise
+    holds at least MIN_WEIGHT_SHARE of their combined weight; otherwise
     the highest does.
     """
     eligible = [i for i, r in enumerate(roots)
@@ -227,7 +226,7 @@ def _choose_index(roots, n, solver_config):
         return 0, "highest"
     total = sum(roots[i].weight_sum for i in eligible)
     if (len(eligible) >= 2 and roots[eligible[1]].weight_sum
-            >= solver_config.min_weight_share * total):
+            >= MIN_WEIGHT_SHARE * total):
         return eligible[1], "second-highest"
     return eligible[0], "highest"
 
@@ -236,9 +235,8 @@ def build_root_set(roots, n, solver_config, **counters):
     """Cluster, rank and apply the root-selection rule."""
     converged = [r for r in roots if r is not None and r.converged]
     non_conv = cluster_roots(
-        [r for r in roots if r is not None and not r.converged],
-        solver_config.root_tol)
-    distinct = cluster_roots(converged, solver_config.root_tol)
+        [r for r in roots if r is not None and not r.converged])
+    distinct = cluster_roots(converged)
     if not distinct:
         raise DegenerateFitError("no converged roots found")
     selected, rule = _choose_index(distinct, n, solver_config)

@@ -39,9 +39,6 @@ class WeightFunction:
                 out[ok] = np.exp(self._log_weight(tau[ok]))
         return _finish(np.clip(out, 0.0, 1.0), scalar)
 
-    def __call__(self, tau):
-        return self.weight(tau)
-
     def weight_derivative(self, tau):
         """H'(tau) for tau > -1 (analytic log-derivative times H)."""
         tau, scalar = _prep(tau)
@@ -70,10 +67,6 @@ class GammaKernel(WeightFunction):
     def __post_init__(self):
         if not self.alpha > 1:
             raise ValueError("alpha must exceed 1")
-
-    @property
-    def rate(self):
-        return self.alpha - 1.0
 
     def _log_weight(self, tau):
         # H(tau) = ((1 + tau) e^{-tau})^{alpha - 1}

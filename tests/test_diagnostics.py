@@ -135,6 +135,12 @@ def test_contamination_spec_validation():
     with pytest.raises(ValueError):
         ContaminationSpec(base=base, eps=0.1, y=3.0,
                           contaminant=ModelDistribution(fam, (1.0,)))
+    # a point mass has no smooth distribution to mix
+    atom = ContaminationSpec(base=base, eps=0.1, y=3.0)
+    with pytest.raises(ValueError):
+        atom.cdf_survival(np.zeros(3))
+    with pytest.raises(ValueError):
+        atom.pdf(np.zeros(3))
 
 
 def test_population_score_is_odd_in_symmetric_case():

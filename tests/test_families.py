@@ -97,7 +97,7 @@ def test_bivariate_quadrants_sum_to_one():
     fam = get_family("bivariate_normal")
     theta = np.array([0.5, -1.0, 2.0, 0.5, 0.4])
     xy = np.array([[0.0, 0.0], [1.5, -2.0], [-3.0, 1.0]])
-    q = np.column_stack([p[0] for p in fam.cdf_batch(theta[None, :], xy)])
+    q = np.column_stack(fam.quadrant_probabilities(theta, xy))
     np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-10)
     assert np.all(q > 0)
 
@@ -160,7 +160,7 @@ def test_poisson_batch_cdf_matches_pmf_sums():
     fam = get_family("poisson")
     lams = np.array([0.01, 0.4, 2.5, 10.0, 40.0])
     x = np.arange(0.0, 61.0)
-    F, S = fam.cdf_batch(lams[:, None], x)
+    F, S = fam.cdf_survival(lams[:, None], x)
     for b, lam in enumerate(lams):
         def pmf(k):
             return np.exp(k * np.log(lam) - lam - gammaln(k + 1))
@@ -284,6 +284,23 @@ def test_weighted_score_batch_matches_score(name):
         ref = w[b] @ fam.score(theta, x)
         np.testing.assert_allclose(got[b], ref, rtol=1e-10,
                                    atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("name", sorted(_SCORE_CASES))
+def test_batch_rows_match_single_parameter_calls(name):
+    # one formula serves both shapes: row b of a (B, dim) batch call is the
+    # (dim,) call at parameter row b, bit for bit
+    fam = get_family(name)
+    draw, thetas = _SCORE_CASES[name]
+    x, thetas = draw(np.random.default_rng(4)), np.array(thetas)
+    model = (fam.quadrant_probabilities if fam.kind == "bivariate"
+             else fam.cdf_survival)
+    batch = model(thetas, x)
+    for b, theta in enumerate(thetas):
+        for rows, single in zip(batch, model(theta, x)):
+            assert rows.shape == (len(thetas), len(x))
+            assert single.shape == (len(x),)
+            np.testing.assert_array_equal(rows[b], single)
 
 
 _RANGE_CASES = {

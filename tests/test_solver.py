@@ -65,7 +65,7 @@ def test_selection_no_eligible_root_falls_back_to_highest():
 def test_cluster_roots_dedupes():
     roots = [_fake_root(10.0, mu=1.0), _fake_root(9.0, mu=1.0 + 1e-7),
              _fake_root(8.0, mu=5.0)]
-    distinct = cluster_roots(roots, root_tol=1e-4)
+    distinct = cluster_roots(roots)
     assert len(distinct) == 2
     # the highest-weight representative of each cluster is kept
     assert distinct[0].weight_sum == 10.0
@@ -76,8 +76,6 @@ def test_config_validation():
         SolverConfig(bootstrap_b=0)
     with pytest.raises(ValueError):
         SolverConfig(bootstrap_m=1)
-    with pytest.raises(ValueError):
-        SolverConfig(min_weight_share=0.0)
     with pytest.raises(ValueError):
         SolverConfig(eligibility_share=1.0)
 
@@ -355,6 +353,27 @@ def test_huge_finite_outlier_gets_weight_zero():
     root = rs.selected
     assert root.converged and root.weights[0] == 0.0
     np.testing.assert_allclose(root.theta, [27.7491, 25.6905], atol=5e-5)
+
+
+@pytest.mark.parametrize("name, columns, family, kind, spec", [
+    ("voltage_drop", ("time", "voltage"), "normal_regression", "regression",
+     ScaledFKernel(2.5, 1.0)),
+    ("lubischew", ("width", "angle"), "bivariate_normal", "bivariate",
+     GammaKernel(1.01))], ids=["voltage_drop", "lubischew"])
+def test_huge_finite_outlier_in_pairs_gets_weight_zero(name, columns, family,
+                                                       kind, spec):
+    # a finite 1e300 response overflows the residuals, the standardized
+    # coordinates and the moments of every fit that weights it; every root
+    # gives it weight zero, with no numpy warning
+    data = _pairs(name, *columns)
+    data[0, 1] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = bootstrap_root_search(get_family(family), data,
+                                   ResidualConfig(kind=kind), spec,
+                                   SolverConfig(seed=0))
+    assert rs.selected.converged
+    assert all(r.weights[0] == 0.0 for r in rs.roots)
 
 
 @pytest.mark.parametrize("name, kind", [
