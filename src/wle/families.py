@@ -5,8 +5,8 @@ function `cdf_survival` and a closed-form weighted fit (the inner step of
 the reweighting iteration); the univariate families add the Fisher
 information, and the continuous ones the parameter gradients, that the
 influence analysis needs.
-`cdf_survival`, the weighted fit and the weighted score take a batch of
-parameters or weights, with one row per start of a root search.
+The score, `cdf_survival`, the weighted fit and the weighted score take
+a batch of parameters or weights, with one row per start of a root search.
 Five families are supported: Poisson, univariate normal, exponential,
 bivariate normal and normal linear regression.
 """
@@ -52,7 +52,10 @@ class Family:
         raise NotImplementedError
 
     def score(self, theta, x):
-        """Gradient of the log-density at each observation, shape (n, dim)."""
+        """Gradient of the log-density at each observation.
+
+        A (dim,) theta gives (n, dim); a (B, dim) batch gives (B, n, dim)
+        whose row b is the score under parameter row b."""
         raise NotImplementedError
 
     def cdf_survival(self, theta, x):
@@ -100,8 +103,17 @@ class Family:
         raise NotImplementedError
 
     def weighted_score_batch(self, thetas, x, w):
-        """sum_i w_bi u_theta_b(x_i) for each row b, shape (B, dim)."""
-        raise NotImplementedError
+        """sum_i w_bi u_theta_b(x_i) for each row b, shape (B, dim).
+
+        A point of weight zero stays out of the sum even when its score
+        overflows (0 * inf = NaN); only rows that come back non-finite pay
+        for the mask."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = self.score(thetas, x)
+            r = np.matmul(w[:, None, :], u)[:, 0]
+            for b in np.flatnonzero(~np.all(np.isfinite(r), axis=1)):
+                r[b] = w[b] @ np.where(w[b, :, None] > 0, u[b], 0.0)
+        return r
 
 
 def _weight_sums(w):
@@ -133,9 +145,8 @@ class Poisson(Family):
         return np.exp(self.logpmf(theta, x))
 
     def score(self, theta, x):
-        lam = float(np.asarray(theta).reshape(-1)[0])
-        x = _asarray1d(x)
-        return (x / lam - 1.0)[:, None]
+        lam = np.asarray(theta, dtype=float)[..., 0:1]
+        return (_asarray1d(x) / lam - 1.0)[..., None]
 
     def score_curvature(self, theta, x):
         """Second derivative of the score in the (scalar) parameter."""
@@ -165,9 +176,6 @@ class Poisson(Family):
         lam = w @ x / _weight_sums(w)
         return np.where(lam > 0, lam, np.nan)[:, None]
 
-    def weighted_score_batch(self, thetas, x, w):
-        return ((w @ x) / thetas[:, 0] - w.sum(axis=1))[:, None]
-
 
 class Normal(Family):
     """Univariate normal parametrized by (mu, sigma^2)."""
@@ -188,10 +196,10 @@ class Normal(Family):
         return np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi * s2)
 
     def score(self, theta, x):
-        mu, s2 = theta
-        x = _asarray1d(x)
-        d = x - mu
-        return np.column_stack([d / s2, (d * d - s2) / (2 * s2 * s2)])
+        t = np.asarray(theta, dtype=float)
+        s2 = t[..., 1:2]
+        d = _asarray1d(x) - t[..., 0:1]
+        return np.stack([d / s2, (d * d - s2) / (2 * s2 * s2)], axis=-1)
 
     def cdf_survival(self, theta, x):
         t = np.asarray(theta, dtype=float)
@@ -244,14 +252,6 @@ class Normal(Family):
         s2 = np.where(s2 <= 0, np.nan, s2)
         return np.column_stack([mu, s2])
 
-    def weighted_score_batch(self, thetas, x, w):
-        s2 = thetas[:, 1]
-        d = x[None, :] - thetas[:, 0:1]
-        wd = w * d
-        return np.column_stack([
-            wd.sum(axis=1) / s2,
-            ((wd * d).sum(axis=1) - s2 * w.sum(axis=1)) / (2 * s2 * s2)])
-
 
 class Exponential(Family):
     name = "exponential"
@@ -270,8 +270,8 @@ class Exponential(Family):
         return lam * np.exp(-lam * _asarray1d(x))
 
     def score(self, theta, x):
-        lam = float(np.asarray(theta).reshape(-1)[0])
-        return (1.0 / lam - _asarray1d(x))[:, None]
+        lam = np.asarray(theta, dtype=float)[..., 0:1]
+        return (1.0 / lam - _asarray1d(x))[..., None]
 
     def score_curvature(self, theta, x):
         lam = float(np.asarray(theta).reshape(-1)[0])
@@ -306,9 +306,6 @@ class Exponential(Family):
         m = w @ x / _weight_sums(w)
         return np.where(m > 0, 1.0 / m, np.nan)[:, None]
 
-    def weighted_score_batch(self, thetas, x, w):
-        return (w.sum(axis=1) / thetas[:, 0] - w @ x)[:, None]
-
 
 class NormalLocation(Family):
     """Normal location model with known unit variance, N(mu, 1)."""
@@ -327,8 +324,8 @@ class NormalLocation(Family):
         return np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
 
     def score(self, theta, x):
-        mu = float(np.asarray(theta).reshape(-1)[0])
-        return (_asarray1d(x) - mu)[:, None]
+        mu = np.asarray(theta, dtype=float)[..., 0:1]
+        return (_asarray1d(x) - mu)[..., None]
 
     def score_curvature(self, theta, x):
         return np.zeros(_asarray1d(x).size)
@@ -357,9 +354,6 @@ class NormalLocation(Family):
     def weighted_fit_batch(self, x, w):
         return (w @ x / _weight_sums(w))[:, None]
 
-    def weighted_score_batch(self, thetas, x, w):
-        return (w @ x - thetas[:, 0] * w.sum(axis=1))[:, None]
-
 
 class BivariateNormal(Family):
     """Bivariate normal parametrized by (mu1, mu2, sigma1^2, sigma2^2, rho)."""
@@ -386,17 +380,18 @@ class BivariateNormal(Family):
         return z1, z2, t[..., 4:5]
 
     def score(self, theta, xy):
-        mu1, mu2, s1, s2, rho = theta
-        z1, z2, _ = self._standardize(theta, xy)
+        t = np.asarray(theta, dtype=float)
+        s1, s2 = t[..., 2:3], t[..., 3:4]
+        z1, z2, rho = self._standardize(t, xy)
         r2 = 1 - rho * rho
-        u = np.empty((z1.size, 5))
-        u[:, 0] = (z1 - rho * z2) / (np.sqrt(s1) * r2)
-        u[:, 1] = (z2 - rho * z1) / (np.sqrt(s2) * r2)
-        u[:, 2] = (-1.0 + (z1 * z1 - rho * z1 * z2) / r2) / (2 * s1)
-        u[:, 3] = (-1.0 + (z2 * z2 - rho * z1 * z2) / r2) / (2 * s2)
-        u[:, 4] = (rho / r2
-                   + (z1 * z2 * (1 + rho * rho) - rho * (z1**2 + z2**2)) / r2**2)
-        return u
+        return np.stack([
+            (z1 - rho * z2) / (np.sqrt(s1) * r2),
+            (z2 - rho * z1) / (np.sqrt(s2) * r2),
+            (-1.0 + (z1 * z1 - rho * z1 * z2) / r2) / (2 * s1),
+            (-1.0 + (z2 * z2 - rho * z1 * z2) / r2) / (2 * s2),
+            (rho / r2
+             + (z1 * z2 * (1 + rho * rho) - rho * (z1**2 + z2**2)) / r2**2),
+        ], axis=-1)
 
     def quadrant_probabilities(self, theta, xy):
         """Quadrant probabilities (ll, lg, gl, gg) at each point, a tuple of
@@ -425,26 +420,6 @@ class BivariateNormal(Family):
             v = np.where((s1 <= 0) | (s2 <= 0) | (v <= 0), np.nan, v)
             rho = np.clip(c / np.sqrt(v), -0.9999, 0.9999)
         return np.column_stack([mu1, mu2, s1, s2, rho])
-
-    def weighted_score_batch(self, thetas, xy, w):
-        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        mu1, mu2, s1, s2, rho = thetas.T
-        r1, r2 = np.sqrt(s1), np.sqrt(s2)
-        z1 = (xy[:, 0] - mu1[:, None]) / r1[:, None]
-        z2 = (xy[:, 1] - mu2[:, None]) / r2[:, None]
-        wz1, wz2 = w * z1, w * z2
-        sw = w.sum(axis=1)
-        m1, m2 = wz1.sum(axis=1), wz2.sum(axis=1)
-        m11, m22 = (wz1 * z1).sum(axis=1), (wz2 * z2).sum(axis=1)
-        m12 = (wz1 * z2).sum(axis=1)
-        q = 1 - rho * rho
-        return np.column_stack([
-            (m1 - rho * m2) / (r1 * q),
-            (m2 - rho * m1) / (r2 * q),
-            (-sw + (m11 - rho * m12) / q) / (2 * s1),
-            (-sw + (m22 - rho * m12) / q) / (2 * s2),
-            rho * sw / q + (m12 * (1 + rho * rho) - rho * (m11 + m22)) / q**2,
-        ])
 
 
 class NormalRegression(Family):
@@ -477,14 +452,12 @@ class NormalRegression(Family):
                     / t[..., 2:3])
 
     def score(self, theta, xy):
-        b0, b1, sig = theta
-        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        e = xy[:, 1] - b0 - b1 * xy[:, 0]
-        u = np.empty((len(xy), 3))
-        u[:, 0] = e / sig**2
-        u[:, 1] = e * xy[:, 0] / sig**2
-        u[:, 2] = (e * e - sig**2) / sig**3
-        return u
+        t = np.asarray(theta, dtype=float)
+        x, y = np.asarray(xy, dtype=float).reshape(-1, 2).T
+        sig = t[..., 2:3]
+        e = y - t[..., 0:1] - t[..., 1:2] * x
+        return np.stack([e / sig**2, e * x / sig**2,
+                         (e * e - sig**2) / sig**3], axis=-1)
 
     def cdf_survival(self, theta, xy):
         z = self.residuals(theta, xy)
@@ -499,8 +472,11 @@ class NormalRegression(Family):
         mx, my = w @ x / sw, w @ y / sw
         dx = x - mx[:, None]
         wdx = w * dx
-        sxx = (wdx * dx).sum(axis=1)
-        singular = sw * sxx < 1e-12 * np.maximum(1.0, sw * sw)
+        # a huge covariate overflows sxx to inf: such a row is singular too
+        with np.errstate(over="ignore"):
+            sxx = (wdx * dx).sum(axis=1)
+        singular = ((sw * sxx < 1e-12 * np.maximum(1.0, sw * sw))
+                    | np.isinf(sxx))
         sxx = np.where(singular, np.nan, sxx)
         b1 = (wdx * (y - my[:, None])).sum(axis=1) / sxx
         b0 = my - b1 * mx
@@ -510,17 +486,6 @@ class NormalRegression(Family):
             s2 = (w * e * e).sum(axis=1) / sw
         s2 = np.where(s2 <= 0, np.nan, s2)
         return np.column_stack([b0, b1, np.sqrt(s2)])
-
-    def weighted_score_batch(self, thetas, xy, w):
-        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        sig2 = thetas[:, 2] ** 2
-        e = xy[:, 1] - thetas[:, 0:1] - thetas[:, 1:2] * xy[:, 0]
-        we = w * e
-        return np.column_stack([
-            we.sum(axis=1) / sig2,
-            (we @ xy[:, 0]) / sig2,
-            ((we * e).sum(axis=1) - sig2 * w.sum(axis=1)) / (sig2 * thetas[:, 2]),
-        ])
 
 
 FAMILIES = {

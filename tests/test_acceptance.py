@@ -103,6 +103,7 @@ def test_criterion_05_population_root_scan():
             f"N(4,1) roots at eps=0.1/0.2: {len(near_01)}/{len(near_02)}")
 
 
+@pytest.mark.slow
 def test_criterion_06_simulation_grids():
     t0 = time.time()
     reports = {tid: _table(tid, reps=1000)

@@ -224,6 +224,11 @@ def test_regression_batch_flags_degenerate_rows():
     for wb in w[1:]:
         with pytest.raises(DegenerateFitError):
             fam.weighted_fit(xy, wb)
+    # a huge covariate overflows sxx: the row is singular, not b1 = 0
+    xy[0, 0] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(fam.weighted_fit_batch(xy, w[:1])).any()
 
 
 def test_bivariate_fit_with_weight_on_one_point_is_degenerate():
@@ -296,11 +301,14 @@ def test_batch_rows_match_single_parameter_calls(name):
     model = (fam.quadrant_probabilities if fam.kind == "bivariate"
              else fam.cdf_survival)
     batch = model(thetas, x)
+    scores = fam.score(thetas, x)
+    assert scores.shape == (len(thetas), len(x), thetas.shape[1])
     for b, theta in enumerate(thetas):
         for rows, single in zip(batch, model(theta, x)):
             assert rows.shape == (len(thetas), len(x))
             assert single.shape == (len(x),)
             np.testing.assert_array_equal(rows[b], single)
+        np.testing.assert_array_equal(scores[b], fam.score(theta, x))
 
 
 _RANGE_CASES = {

@@ -355,18 +355,24 @@ def test_huge_finite_outlier_gets_weight_zero():
     np.testing.assert_allclose(root.theta, [27.7491, 25.6905], atol=5e-5)
 
 
-@pytest.mark.parametrize("name, columns, family, kind, spec", [
+@pytest.mark.parametrize("name, columns, family, kind, spec, col, value", [
     ("voltage_drop", ("time", "voltage"), "normal_regression", "regression",
-     ScaledFKernel(2.5, 1.0)),
+     ScaledFKernel(2.5, 1.0), 1, 1e300),
     ("lubischew", ("width", "angle"), "bivariate_normal", "bivariate",
-     GammaKernel(1.01))], ids=["voltage_drop", "lubischew"])
+     GammaKernel(1.01), 1, 1e300),
+    ("voltage_drop", ("time", "voltage"), "normal_regression", "regression",
+     ScaledFKernel(2.5, 1.0), 0, 1e300),
+    ("lubischew", ("width", "angle"), "bivariate_normal", "bivariate",
+     GammaKernel(1.01), 0, -1e300)],
+    ids=["voltage_drop", "lubischew", "voltage_drop-covariate",
+         "lubischew-width"])
 def test_huge_finite_outlier_in_pairs_gets_weight_zero(name, columns, family,
-                                                       kind, spec):
-    # a finite 1e300 response overflows the residuals, the standardized
-    # coordinates and the moments of every fit that weights it; every root
-    # gives it weight zero, with no numpy warning
+                                                       kind, spec, col, value):
+    # a finite 1e300 coordinate overflows the residuals, the standardized
+    # coordinates, the scores and the moments of every fit that weights it;
+    # every root gives it weight zero, with no numpy warning
     data = _pairs(name, *columns)
-    data[0, 1] = 1e300
+    data[0, col] = value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rs = bootstrap_root_search(get_family(family), data,
