@@ -5,7 +5,7 @@ mean is estimated by maximum likelihood and by two weighted-likelihood
 estimators. Already at eps = 0.1 the weighted estimators halve the MSE;
 on clean data they give up almost nothing.
 
-Run:  python demos/contamination_study.py          (about a minute)
+Run:  python demos/contamination_study.py          (about 15 seconds)
 """
 
 from wle import SimulationPlan, run_simulation

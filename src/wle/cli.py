@@ -60,12 +60,11 @@ def _load_columns(args):
 
 def _configs(args):
     family = get_family(args.model)
-    rc = ResidualConfig(p=args.p, beta_exp=args.beta_exp,
-                        kind=family.kind)
-    sc = SolverConfig(tol=args.tol, max_iter=args.max_iter,
-                      bootstrap_b=getattr(args, "bootstrap_b", 50),
-                      bootstrap_m=getattr(args, "bootstrap_m", 3),
-                      seed=getattr(args, "seed", 0))
+    rc = ResidualConfig(p=args.p, kind=family.kind)
+    # the solver flags a subcommand has; SolverConfig supplies the rest
+    sc = SolverConfig(**{f.name: getattr(args, f.name)
+                         for f in fields(SolverConfig)
+                         if hasattr(args, f.name)})
     return family, rc, sc
 
 
@@ -164,8 +163,8 @@ def _add_model_args(p, model_required=True):
                    help="apply the natural logarithm to the selected columns")
 
 
-def _add_weight_args(p, default="gamma"):
-    p.add_argument("--weight-fn", default=default,
+def _add_weight_args(p):
+    p.add_argument("--weight-fn", default="gamma",
                    choices=[*KERNELS, "none"])
     p.add_argument("--alpha", type=float, default=1.01)
     p.add_argument("--k", type=float, default=1.01)
@@ -173,8 +172,7 @@ def _add_weight_args(p, default="gamma"):
     p.add_argument("--d1", type=float, default=2.1)
     p.add_argument("--d2", type=float, default=1.0)
     p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--beta-exp", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
     p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
 
 
@@ -194,9 +192,11 @@ def build_parser():
     p = sub.add_parser("roots", help="bootstrap multi-root search")
     _add_model_args(p)
     _add_weight_args(p)
-    p.add_argument("--bootstrap-b", type=int, default=50)
-    p.add_argument("--bootstrap-m", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bootstrap-b", type=int,
+                   default=SolverConfig.bootstrap_b)
+    p.add_argument("--bootstrap-m", type=int,
+                   default=SolverConfig.bootstrap_m)
+    p.add_argument("--seed", type=int, default=SolverConfig.seed)
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("simulate", help="contamination Monte Carlo study")

@@ -6,7 +6,8 @@ analysis under point-mass contamination, root scans of the population
 weighted score under mixture contamination, and CSV export of the
 resulting curves. The residual is the solver's `tau_branch`, with a
 smooth distribution in place of the empirical one, and the integration
-ranges and medians come from the families.
+ranges and medians come from the families. All integrals use one
+adaptive rule, `QUAD`.
 """
 
 import csv
@@ -20,6 +21,8 @@ from scipy.special import ndtri
 from .families import get_family
 from .quadrature import Quadrature
 from .residuals import tau_branch
+
+QUAD = Quadrature()
 
 
 @dataclass(frozen=True)
@@ -86,14 +89,11 @@ class InfluenceReport:
 
     y: float
     t_prime: np.ndarray   # first-order influence T'(y)
-    D: np.ndarray
-    N: np.ndarray
     t_second: float = None          # scalar-parameter second-order term
     bias_curve: np.ndarray = None   # rows (eps, eps*T' + eps^2/2 * T'')
 
 
-def fisher_consistency_check(family, theta, residual_config, weight_spec,
-                             quad=None):
+def fisher_consistency_check(family, theta, residual_config, weight_spec):
     """Population weighted score at the model: integral of H(tau) u dF_theta.
 
     The population residual of the model against itself vanishes, so the
@@ -107,25 +107,20 @@ def fisher_consistency_check(family, theta, residual_config, weight_spec,
     if family.discrete:
         k = np.arange(a, b + 1.0)
         F, S = family.cdf_survival(theta, k)
-        tau = tau_branch(F, S, F, S, residual_config.p,
-                         residual_config.beta_exp)
+        tau = tau_branch(F, S, F, S, residual_config.p)
         w = weight_spec.weight(tau)
         return (w * family.pmf(theta, k)) @ family.score(theta, k)
 
-    quad = quad or Quadrature()
-
     def integrand(x):
         F, S = family.cdf_survival(theta, x)
-        tau = tau_branch(F, S, F, S, residual_config.p,
-                         residual_config.beta_exp)
+        tau = tau_branch(F, S, F, S, residual_config.p)
         w = weight_spec.weight(tau)
         return w[:, None] * family.score(theta, x) * family.pdf(theta, x)[:, None]
 
-    return quad.integrate(integrand, a, b, points=[family.median(theta)])
+    return QUAD.integrate(integrand, a, b, points=[family.median(theta)])
 
 
-def influence_first_order(family, theta_g, weight_spec, y, g=None, quad=None,
-                          return_parts=False):
+def influence_first_order(family, theta_g, weight_spec, y, g=None):
     """First-order influence T'(y) = D^{-1} N under point-mass contamination.
 
     `g` is the true distribution (anything with cdf_survival and pdf); it
@@ -141,14 +136,13 @@ def influence_first_order(family, theta_g, weight_spec, y, g=None, quad=None,
                                   "univariate families")
     if g is None:
         g = ModelDistribution(family, tuple(theta))
-    quad = quad or Quadrature()
     a, b = family.integration_range(theta)
     y = float(y)
     cuts = [family.median(theta), y]
 
     def pieces(x):
         F, S = family.cdf_survival(theta, x)
-        tau = tau_branch(*g.cdf_survival(x), F, S, 0.5, 1.0)
+        tau = tau_branch(*g.cdf_survival(x), F, S, 0.5)
         H = weight_spec.weight(tau)
         Hp = weight_spec.weight_derivative(tau)
         u = family.score(theta, x)            # (n, d)
@@ -172,19 +166,16 @@ def influence_first_order(family, theta_g, weight_spec, y, g=None, quad=None,
         atom = np.where(lower[:, 0], lam / F, lam_bar / S)
         return ((Hp * atom - Hp * (tau + 1.0)) * dens)[:, None] * u
 
-    D = quad.integrate(d_integrand, a, b, points=cuts)
-    N = quad.integrate(n_integrand, a, b, points=cuts)
+    D = QUAD.integrate(d_integrand, a, b, points=cuts)
+    N = QUAD.integrate(n_integrand, a, b, points=cuts)
     ys = np.atleast_1d(y)
     tau_y = tau_branch(*g.cdf_survival(ys), *family.cdf_survival(theta, ys),
-                       0.5, 1.0)
+                       0.5)
     N = N + weight_spec.weight(tau_y)[0] * family.score(theta, ys)[0]
-    t_prime = np.linalg.solve(D, N)
-    if return_parts:
-        return t_prime, D, N
-    return t_prime
+    return np.linalg.solve(D, N)
 
 
-def influence_second_order(family, theta, weight_spec, y, quad=None):
+def influence_second_order(family, theta, weight_spec, y):
     """Second-order term T''(y) of the contamination-bias expansion.
 
     Evaluated at the model for scalar-parameter families; the three
@@ -197,7 +188,6 @@ def influence_second_order(family, theta, weight_spec, y, quad=None):
     if theta.size != 1 or family.discrete:
         raise NotImplementedError("second-order analysis covers the "
                                   "continuous scalar-parameter families")
-    quad = quad or Quadrature()
     c = weight_spec.second_derivative_at_zero()
     a, b = family.integration_range(theta)
     y = float(y)
@@ -225,7 +215,7 @@ def influence_second_order(family, theta, weight_spec, y, quad=None):
         g4 = family.score_curvature(theta, x)
         return dens[:, None] * np.column_stack([g1, g2, g3, g4])
 
-    i1, i2, i3, i4 = quad.integrate(groups, a, b,
+    i1, i2, i3, i4 = QUAD.integrate(groups, a, b,
                                     points=[family.median(theta), y])
     bracket = (c * i1
                + 2.0 * t1 * (-c * i2 + grad_u_y + info)
@@ -233,28 +223,22 @@ def influence_second_order(family, theta, weight_spec, y, quad=None):
     return bracket / info
 
 
-def influence_report(family, theta, weight_spec, y, eps_grid=None, quad=None):
+def influence_report(family, theta, weight_spec, y):
     """Bundle T'(y), T''(y) and the predicted bias curve at the model."""
-    t_prime, D, N = influence_first_order(family, theta, weight_spec, y,
-                                          quad=quad, return_parts=True)
+    t_prime = influence_first_order(family, theta, weight_spec, y)
     t_second = None
     curve = None
     if np.asarray(theta, dtype=float).size == 1:
-        t_second = influence_second_order(family, theta, weight_spec, y,
-                                          quad=quad)
-        if eps_grid is None:
-            eps_grid = np.linspace(0.0, 0.1, 21)
-        eps_grid = np.asarray(eps_grid, dtype=float)
-        bias = eps_grid * float(t_prime[0]) + 0.5 * eps_grid**2 * t_second
-        curve = np.column_stack([eps_grid, bias])
-    return InfluenceReport(y=float(y), t_prime=t_prime, D=D, N=N,
-                           t_second=t_second, bias_curve=curve)
+        t_second = influence_second_order(family, theta, weight_spec, y)
+        eps = np.linspace(0.0, 0.1, 21)
+        bias = eps * float(t_prime[0]) + 0.5 * eps**2 * t_second
+        curve = np.column_stack([eps, bias])
+    return InfluenceReport(y=float(y), t_prime=t_prime, t_second=t_second,
+                           bias_curve=curve)
 
 
-def population_weighted_score(contam_spec, weight_spec, mu, p=0.5,
-                              beta_exp=1.0, quad=None):
+def population_weighted_score(contam_spec, weight_spec, mu, p=0.5):
     """Weighted score integral of the N(mu, 1) model against a mixture."""
-    quad = quad or Quadrature()
     mu = float(mu)
     fam = get_family("normal_location")
     theta = np.array([mu])
@@ -268,33 +252,30 @@ def population_weighted_score(contam_spec, weight_spec, mu, p=0.5,
 
     def integrand(x):
         tau = tau_branch(*contam_spec.cdf_survival(x),
-                         *fam.cdf_survival(theta, x), p, beta_exp)
+                         *fam.cdf_survival(theta, x), p)
         return weight_spec.weight(tau) * (x - mu) * contam_spec.pdf(x)
 
-    return float(quad.integrate(integrand, a, b, points=cuts))
+    return float(QUAD.integrate(integrand, a, b, points=cuts))
 
 
-def mixture_root_scan(contam_spec, weight_spec, mu_grid, p=0.5,
-                      beta_exp=1.0, quad=None, xtol=1e-6):
+def mixture_root_scan(contam_spec, weight_spec, mu_grid, p=0.5):
     """Roots of the population weighted score of N(mu, 1) over a mu grid.
 
     The score integral is evaluated on the grid, sign changes are
-    bracketed, and each bracket is refined by bisection. Returns the list
-    of roots (possibly empty) in increasing order.
+    bracketed, and each bracket is refined by bisection to 1e-6. Returns
+    the list of roots (possibly empty) in increasing order.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if np.any(np.diff(mu_grid) <= 0):
         raise ValueError("mu grid must be strictly increasing")
-    quad = quad or Quadrature()
 
     def psi(mu):
-        return population_weighted_score(contam_spec, weight_spec, mu,
-                                         p=p, beta_exp=beta_exp, quad=quad)
+        return population_weighted_score(contam_spec, weight_spec, mu, p=p)
 
     values = np.array([psi(mu) for mu in mu_grid])
     roots = []
     for i in np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0):
-        roots.append(bisect(psi, mu_grid[i], mu_grid[i + 1], xtol=xtol))
+        roots.append(bisect(psi, mu_grid[i], mu_grid[i + 1], xtol=1e-6))
     for i in np.flatnonzero(values == 0.0):
         roots.append(float(mu_grid[i]))
     return sorted(roots)

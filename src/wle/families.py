@@ -148,11 +148,6 @@ class Poisson(Family):
         lam = np.asarray(theta, dtype=float)[..., 0:1]
         return (_asarray1d(x) / lam - 1.0)[..., None]
 
-    def score_curvature(self, theta, x):
-        """Second derivative of the score in the (scalar) parameter."""
-        lam = float(np.asarray(theta).reshape(-1)[0])
-        return 2.0 * _asarray1d(x) / lam**3
-
     def cdf_survival(self, theta, x):
         # regularized incomplete gamma functions; the survival side is
         # computed directly, so extreme right tails keep their relative

@@ -16,24 +16,20 @@ from scipy.special import ndtr
 
 @dataclass(frozen=True)
 class ResidualConfig:
-    """Tail fraction, denominator exponent and family-kind tag.
+    """Tail fraction and family-kind tag.
 
     `p` is the fraction of either distributional tail eligible for
-    downweighting; `beta_exp` = 1 is the primary definition, other values
-    are experimental. Boundary convention: F = p falls in the lower-tail
+    downweighting. Boundary convention: F = p falls in the lower-tail
     branch, F = 1 - p in the upper-tail branch. `kind` must equal the
     `kind` of the family it is used with; the solver checks this.
     """
 
     p: float = 0.5
-    beta_exp: float = 1.0
     kind: str = "univariate"  # univariate | bivariate | regression
 
     def __post_init__(self):
         if not 0 < self.p <= 0.5:
             raise ValueError("p must be in (0, 0.5]")
-        if not self.beta_exp > 0:
-            raise ValueError("beta_exp must be positive")
         if self.kind not in ("univariate", "bivariate", "regression"):
             raise ValueError(f"unknown kind {self.kind!r}")
 
@@ -122,11 +118,11 @@ class EmpiricalFunctions:
         ])
 
 
-def tau_branch(Fn, Sn, F, S, p, beta_exp):
+def tau_branch(Fn, Sn, F, S, p):
     """Three-branch residual, vectorized.
 
-    Lower tail (F <= p): Fn / F^beta - 1. Upper tail (F >= 1 - p):
-    Sn / S^beta - 1. Zero in between. A vanished model tail gives +inf,
+    Lower tail (F <= p): Fn / F - 1. Upper tail (F >= 1 - p):
+    Sn / S - 1. Zero in between. A vanished model tail gives +inf,
     which every weight function maps to zero. Fn and Sn broadcast against
     F and S, so one sample's empirical functions serve a whole (B, n)
     batch of model functions; the distribution and survival functions of
@@ -136,8 +132,6 @@ def tau_branch(Fn, Sn, F, S, p, beta_exp):
     S = np.asarray(S, dtype=float)
     lower = F <= p
     upper = F >= 1.0 - p
-    if beta_exp != 1.0:
-        F, S = F**beta_exp, S**beta_exp
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # F = p = 1 - p (p = 1/2) takes the upper branch
         tau = np.where(upper, Sn / S, np.where(lower, Fn / F, 1.0))
@@ -146,7 +140,7 @@ def tau_branch(Fn, Sn, F, S, p, beta_exp):
     return tau
 
 
-def _quadrant_tau(model_q, emp_q, beta_exp):
+def _quadrant_tau(model_q, emp_q):
     """Residual from the quadrant with the smallest model probability.
 
     `model_q` are the four (B, n) model quadrant probabilities and `emp_q`
@@ -159,7 +153,7 @@ def _quadrant_tau(model_q, emp_q, beta_exp):
         pm = np.where(take, model_q[j], pm)
         emp = np.where(take, emp_q[:, j], emp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tau = emp / pm**beta_exp - 1.0
+        tau = emp / pm - 1.0
     return np.where(np.isfinite(tau), tau, np.inf)
 
 
@@ -182,18 +176,18 @@ def tau_for_sample(config, family, theta, data, empirical=None):
     if family.kind == "regression":
         z = family.residuals(thetas, data)
         Fn, Sn = _rank_functions(np.argsort(z, axis=-1, kind="stable"))
-        tau = tau_branch(Fn, Sn, ndtr(z), ndtr(-z), config.p, config.beta_exp)
+        tau = tau_branch(Fn, Sn, ndtr(z), ndtr(-z), config.p)
     elif family.kind == "bivariate":
         xy = np.asarray(data, dtype=float).reshape(-1, 2)
         if empirical is None:
             empirical = EmpiricalFunctions(xy, bivariate=True)
         tau = _quadrant_tau(family.quadrant_probabilities(thetas, xy),
-                            empirical.at_sample(xy), config.beta_exp)
+                            empirical.at_sample(xy))
     else:
         x = np.atleast_1d(np.asarray(data, dtype=float))
         if empirical is None:
             empirical = EmpiricalFunctions(x)
         F, S = family.cdf_survival(thetas, x)
         Fn, Sn = empirical.at_sample(x, family.discrete)
-        tau = tau_branch(Fn, Sn, F, S, config.p, config.beta_exp)
+        tau = tau_branch(Fn, Sn, F, S, config.p)
     return tau if theta.ndim == 2 else tau[0]

@@ -37,12 +37,17 @@ SCHEMES = {
 
 @dataclass(frozen=True)
 class SimulationPlan:
+    """The varied settings of a study are fields; the estimators, the
+    residual and the solver settings are the same for every study."""
+
     scheme: str = "scale"
     eps_grid: tuple = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
     n: int = 30
     reps: int = 1000
-    weight_specs: tuple = (GammaKernel(1.01), GammaKernel(1.02))
-    residual_config: ResidualConfig = ResidualConfig()
+    seed: int = 0
+
+    weight_specs = (GammaKernel(1.01), GammaKernel(1.02))
+    residual_config = ResidualConfig()
     # at n = 30 the weighted equation often has spurious tight-variance
     # roots seeded by near-degenerate size-3 subsamples; subsamples of 5
     # starve those attractors, and the eligibility floor keeps any that
@@ -51,9 +56,7 @@ class SimulationPlan:
     # selected root in 74-115 searches per eps under scale contamination,
     # 49-778 under location (26% and 39% at eps 0.4 and 0.5) and 0-6 under
     # exponential, moving theta[0] by up to 1.9, 3.4 and 14.3 respectively
-    solver_config: SolverConfig = SolverConfig(eligibility_share=0.55,
-                                               bootstrap_m=5)
-    seed: int = 0
+    solver_config = SolverConfig(eligibility_share=0.55, bootstrap_m=5)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:

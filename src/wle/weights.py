@@ -24,7 +24,8 @@ def _finish(w, scalar):
 
 
 class WeightFunction:
-    """Base weight family; subclasses supply log H(tau) on tau > -1."""
+    """Base weight family; subclasses supply log H(tau) on tau > -1, its
+    derivative, and the closed form of w''(0) = (log H)''(0)."""
 
     def _log_weight(self, tau):
         raise NotImplementedError
@@ -47,15 +48,6 @@ class WeightFunction:
         if np.any(ok):
             out[ok] = self._dlog_weight(tau[ok]) * np.exp(self._log_weight(tau[ok]))
         return _finish(out, scalar)
-
-    def second_derivative_at_zero(self):
-        """w''(0), by second-order central differences unless overridden."""
-        h = 1e-4
-        w = self.weight
-        d2 = (w(h) - 2.0 * w(0.0) + w(-h)) / h**2
-        d1 = (w(h) - w(-h)) / (2 * h)
-        assert abs(d1) < 1e-6, "weight function must be flat at zero"
-        return float(d2)
 
 
 @dataclass(frozen=True)
@@ -102,6 +94,9 @@ class WeibullKernel(WeightFunction):
         k = self.k
         return (k - 1.0) * (1.0 / (1.0 + tau) - (1.0 + tau) ** (k - 1.0))
 
+    def second_derivative_at_zero(self):
+        return -self.k * (self.k - 1.0)
+
 
 @dataclass(frozen=True)
 class GevKernel(WeightFunction):
@@ -135,6 +130,9 @@ class GevKernel(WeightFunction):
     def _dlog_weight(self, tau):
         xi = self.xi
         return ((1.0 + xi) / (xi * (1.0 + tau))) * ((1.0 + tau) ** (-1.0 / xi) - 1.0)
+
+    def second_derivative_at_zero(self):
+        return -(1.0 + self.xi) / self.xi**2
 
 
 @dataclass(frozen=True)

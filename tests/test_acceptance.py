@@ -176,7 +176,7 @@ def test_criterion_10_property_suite():
     grid = np.linspace(-1.5, 1.5, 31)
     emp = EmpiricalFunctions(x)
     tau = tau_branch(emp.cdf(grid), emp.survival(grid),
-                     *fam.cdf_survival(np.array([0.0, 1.0]), grid), 0.5, 1.0)
+                     *fam.cdf_survival(np.array([0.0, 1.0]), grid), 0.5)
     checks["residual-zero"] = np.max(np.abs(tau)) < 0.02
 
     # Fisher-consistency quadrature check

@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from wle.cli import main
+from wle.cli import _configs, build_parser, main
+from wle.solver import SolverConfig
 
 
 def _run(capsys, *argv):
@@ -150,3 +151,10 @@ def test_log_transform(capsys):
     theta = json.loads(out)["theta"]
     # least-squares fit on the log-log scale: slope near 0.50
     assert theta[1] == pytest.approx(0.496, abs=0.01)
+
+
+@pytest.mark.parametrize("command", ["roots", "fit"])
+def test_solver_defaults_come_from_solver_config(command):
+    args = build_parser().parse_args([command, "--model", "normal",
+                                      "--data", "newcomb"])
+    assert _configs(args)[2] == SolverConfig()

@@ -8,7 +8,6 @@ from wle.diagnostics import (ContaminationSpec, ModelDistribution,
                              influence_report, influence_second_order,
                              mixture_root_scan, population_weighted_score)
 from wle.families import get_family
-from wle.quadrature import Quadrature
 from wle.residuals import ResidualConfig
 from wle.weights import GammaKernel, GevKernel, ScaledFKernel, WeibullKernel
 
@@ -158,11 +157,3 @@ def test_scan_rejects_unsorted_grid():
                            contaminant=ModelDistribution(fam, (5.0,)))
     with pytest.raises(ValueError):
         mixture_root_scan(cs, GammaKernel(1.1), np.array([0.0, 1.0, 0.5]))
-
-
-def test_custom_quadrature_threads_through():
-    fam = get_family("normal")
-    val = fisher_consistency_check(fam, np.array([0.0, 1.0]),
-                                   ResidualConfig(), GammaKernel(1.5),
-                                   quad=Quadrature(tol=1e-10))
-    assert np.max(np.abs(val)) < 1e-8

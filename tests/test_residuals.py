@@ -18,8 +18,7 @@ def _grid_tau(config, empirical, family, theta, x):
     # the residual at arbitrary points x, with the inclusive F_n and S_n
     x = np.atleast_1d(np.asarray(x, dtype=float))
     F, S = family.cdf_survival(theta, x)
-    return tau_branch(empirical.cdf(x), empirical.survival(x), F, S,
-                      config.p, config.beta_exp)
+    return tau_branch(empirical.cdf(x), empirical.survival(x), F, S, config.p)
 
 
 def test_empirical_inclusive_conventions():
@@ -162,20 +161,6 @@ def test_tau_middle_region_zero_for_small_p():
     assert np.any(tau[~middle] != 0.0)
 
 
-def test_beta_exponent_changes_denominator():
-    fam = get_family("normal")
-    x = np.array([-1.0, 0.0, 1.0])
-    emp = EmpiricalFunctions(x)
-    theta = np.array([0.0, 1.0])
-    t1 = _grid_tau(ResidualConfig(beta_exp=1.0), emp, fam, theta, x)
-    t2 = _grid_tau(ResidualConfig(beta_exp=0.5), emp, fam, theta, x)
-    F, S = fam.cdf_survival(theta, x)
-    # lower-tail point: F_n / F^beta - 1
-    assert t1[0] == pytest.approx(emp.cdf(x[0])[0] / F[0] - 1.0)
-    assert t2[0] == pytest.approx(emp.cdf(x[0])[0] / np.sqrt(F[0]) - 1.0)
-    del S
-
-
 def test_solver_path_maps_dead_tails_to_inf():
     fam = get_family("exponential")
     x = np.array([1.0, 2.0, 5000.0])
@@ -206,8 +191,6 @@ def test_config_validation():
         ResidualConfig(p=0.0)
     with pytest.raises(ValueError):
         ResidualConfig(p=0.6)
-    with pytest.raises(ValueError):
-        ResidualConfig(beta_exp=0.0)
     with pytest.raises(ValueError):
         ResidualConfig(kind="nope")
 

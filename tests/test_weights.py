@@ -85,9 +85,14 @@ def test_second_derivative_closed_forms():
     spec = ScaledFKernel(2.5, 1.0)
     expected = (2.0 - 2.5) * 3.0 / (2.0 * 3.5)
     assert spec.second_derivative_at_zero() == pytest.approx(expected)
-    # numeric fallback agrees with the closed forms
+    assert WeibullKernel(1.5).second_derivative_at_zero() == pytest.approx(
+        -1.5 * 0.5)
+    assert GevKernel(4.0).second_derivative_at_zero() == pytest.approx(
+        -5.0 / 16.0)
+    # central differences of the weight agree with the closed forms
     h = 1e-4
-    for s in (GammaKernel(1.7), ScaledFKernel(2.5, 1.0)):
+    for s in (GammaKernel(1.7), ScaledFKernel(2.5, 1.0), WeibullKernel(1.5),
+              GevKernel(4.0)):
         num = (s.weight(h) - 2 * s.weight(0.0) + s.weight(-h)) / h**2
         assert num == pytest.approx(s.second_derivative_at_zero(), abs=1e-4)
 
