@@ -57,20 +57,22 @@ class EmpiricalFunctions:
     observations taking consecutive ranks; both are computed once.
     For bivariate data the four quadrant counters are evaluated by direct
     counting, at the sample points once per sample.
+
+    `sample` is a read-only copy of the sample, (n,) or bivariate (n, 2).
     """
 
     def __init__(self, data, bivariate=False):
         self.bivariate = bivariate
+        x = np.asarray(data, dtype=float).reshape(
+            (-1, 2) if bivariate else -1).copy()
+        x.flags.writeable = False
+        self.sample = x
+        self.n = len(x)
         if bivariate:
-            self._sample = np.asarray(data, dtype=float).reshape(-1, 2)
-            self.n = len(self._sample)
-            self._counted = self.quadrants(self._sample)
+            self._counted = self.quadrants(x)
         else:
-            x = np.array(data, dtype=float).ravel()
             order = np.argsort(x, kind="stable")
-            self._sample = x
             self._sorted = x[order]
-            self.n = x.size
             self._ranked = _rank_functions(order)
             self._counted = self.cdf(x), self.survival(x)
         if self.n < 1:
@@ -81,14 +83,16 @@ class EmpiricalFunctions:
 
         For bivariate data this is the (n, 4) array of quadrant masses.
 
-        `x` must be the sample this object was built from. Under a
+        `x` must be the sample this object was built from; `sample` itself
+        passes without an O(n) comparison. Under a
         continuous family ties have probability zero, so tied observations
         take consecutive ranks rather than all being credited with their
         group's whole mass on both sides. Under a discrete family ties are
         part of the model: the inclusive counts F_n(x) and S_n(x) tend to
         P(X <= x) and P(X >= x), which keeps the residual zero at the model.
         """
-        if not np.array_equal(x, self._sample, equal_nan=True):
+        if x is not self.sample and not np.array_equal(x, self.sample,
+                                                       equal_nan=True):
             raise ValueError("sample points differ from the sample the "
                              "empirical functions were built from")
         return self._counted if discrete or self.bivariate else self._ranked
@@ -104,7 +108,7 @@ class EmpiricalFunctions:
     def quadrants(self, xy):
         """Empirical quadrant masses (ll, lg, gl, gg) at each point, (n, 4)."""
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        X, Y = self._sample[:, 0], self._sample[:, 1]
+        X, Y = self.sample[:, 0], self.sample[:, 1]
         lx = X[None, :] <= xy[:, 0:1]
         gx = X[None, :] >= xy[:, 0:1]
         ly = Y[None, :] <= xy[:, 1:2]
@@ -178,7 +182,9 @@ def tau_for_sample(config, family, theta, data, empirical=None):
         Fn, Sn = _rank_functions(np.argsort(z, axis=-1, kind="stable"))
         tau = tau_branch(Fn, Sn, ndtr(z), ndtr(-z), config.p)
     elif family.kind == "bivariate":
-        xy = np.asarray(data, dtype=float).reshape(-1, 2)
+        xy = np.asarray(data, dtype=float)
+        if xy.ndim != 2:
+            xy = xy.reshape(-1, 2)
         if empirical is None:
             empirical = EmpiricalFunctions(xy, bivariate=True)
         tau = _quadrant_tau(family.quadrant_probabilities(thetas, xy),

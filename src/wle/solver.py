@@ -9,6 +9,8 @@ start of a search iterates as one row of a single batch, for every
 family; a single start is the batch of one.
 """
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +38,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tolerance must be finite and > 0")
+        if self.max_iter < 1:
+            raise ValueError("iteration budget must be >= 1")
         if self.bootstrap_b < 1:
             raise ValueError("bootstrap restart count must be >= 1")
         if self.bootstrap_m < 2:
@@ -107,8 +113,12 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
     """
     thetas = np.array(theta0s, dtype=float, ndmin=2)
     nstart, n = len(thetas), len(data)
-    empirical = None if family.kind == "regression" else EmpiricalFunctions(
-        data, bivariate=family.kind == "bivariate")
+    empirical = None
+    if family.kind != "regression":
+        # its read-only copy of the sample passes the sample check by identity
+        empirical = EmpiricalFunctions(data,
+                                       bivariate=family.kind == "bivariate")
+        data = empirical.sample
 
     def weights(th):
         return weight_spec.weight(tau_for_sample(
@@ -178,35 +188,52 @@ def solve_from(family, data, residual_config, weight_spec, solver_config,
     return root
 
 
-def _same_root(t1, t2):
-    return (np.max(np.abs(t1 - t2)) / (1.0 + np.max(np.abs(t1)))) < ROOT_TOL
-
-
 def cluster_roots(roots):
     """Deduplicate converged roots; keep the highest-weight representative.
 
-    Two roots are one when they agree to ROOT_TOL in relative sup-norm."""
+    In decreasing weight order, a root joins the kept root before it that
+    it agrees with to ROOT_TOL in sup-norm, relative to its own
+    1 + max|theta|; otherwise it is kept."""
+    ranked = sorted(roots, key=lambda r: -r.weight_sum)
+    if not ranked:
+        return []
+    thetas = np.array([r.theta for r in ranked])
+    # near[i, j]: root i lies within ROOT_TOL of root j, in root i's norm
+    near = (np.max(np.abs(thetas[:, None, :] - thetas[None, :, :]), axis=2)
+            / (1.0 + np.max(np.abs(thetas), axis=1))[:, None]) < ROOT_TOL
+    covered = np.zeros(len(ranked), dtype=bool)
     distinct = []
-    for r in sorted(roots, key=lambda r: -r.weight_sum):
-        if not any(_same_root(r.theta, d.theta) for d in distinct):
+    for i, r in enumerate(ranked):
+        if not covered[i]:
             distinct.append(r)
+            covered |= near[:, i]
     return distinct
+
+
+@functools.lru_cache(maxsize=1)
+def _subsample_indices(seed, b, n, m):
+    """Read-only (b, m) subsample indices; restart i draws its row from its
+    own Philox stream. The indices depend on nothing else, so the last
+    array serves the next search with the same arguments, such as the
+    second kernel's search of a simulation replication."""
+    idx = np.array([np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(i,)))).integers(0, n, size=m)
+        for i in range(b)])
+    idx.flags.writeable = False
+    return idx
 
 
 def _subsample_starts(family, data, solver_config):
     """MLE starting values from seeded with-replacement subsamples.
 
-    Restart i draws its indices from its own Philox stream. The subsample
-    multiplicities form one (B, n) weight batch with a single weighted
-    fit; a degenerate or non-finite fit skips its subsample.
+    The subsample multiplicities form one (B, n) weight batch with a single
+    weighted fit; a degenerate or non-finite fit skips its subsample.
     """
     n, b = len(data), solver_config.bootstrap_b
     m = max(solver_config.bootstrap_m, family.min_subsample)
-    idx = [np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        solver_config.seed, spawn_key=(i,)))).integers(0, n, size=m)
-        for i in range(b)]
+    idx = _subsample_indices(solver_config.seed, b, n, m)
     counts = np.zeros((b, n))
-    np.add.at(counts, (np.arange(b)[:, None], np.array(idx)), 1.0)
+    np.add.at(counts, (np.arange(b)[:, None], idx), 1.0)
     fits = family.weighted_fit_batch(data, counts)
     ok = np.all(np.isfinite(fits), axis=1)
     return list(fits[ok]), b - int(np.count_nonzero(ok))

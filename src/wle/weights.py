@@ -33,11 +33,11 @@ class WeightFunction:
     def weight(self, tau):
         """H(tau) in [0, 1]; tau <= -1 (and tau = inf) map to 0."""
         tau, scalar = _prep(tau)
-        out = np.zeros_like(tau)
-        ok = (tau > -1.0) & np.isfinite(tau)
-        if np.any(ok):
-            with np.errstate(over="ignore"):
-                out[ok] = np.exp(self._log_weight(tau[ok]))
+        # the kernel runs silently on every entry; those outside
+        # -1 < tau < inf, NaN included, are then set to 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = np.exp(self._log_weight(tau))
+        out[~((tau > -1.0) & (tau < np.inf))] = 0.0
         return _finish(np.clip(out, 0.0, 1.0), scalar)
 
     def weight_derivative(self, tau):

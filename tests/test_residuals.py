@@ -59,6 +59,27 @@ def test_empirical_sample_points_discrete_and_checked():
                            np.array([2.0, 1.0]), other, empirical=emp)
 
 
+@pytest.mark.parametrize("bivariate", [False, True])
+def test_sample_check_reads_a_private_copy(bivariate):
+    # an equal copy passes the check, the object's own read-only copy
+    # passes by identity, and a reordered sample or the caller's array
+    # changed in place after the build still raises
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(12, 2) if bivariate else 12)
+    emp = EmpiricalFunctions(x, bivariate=bivariate)
+    ref = emp.at_sample(x)
+    for same in (x.copy(), emp.sample):
+        np.testing.assert_array_equal(emp.at_sample(same), ref)
+    with pytest.raises(ValueError):
+        emp.sample[0] = 0.0
+    x[0] = x[1]
+    for other in (x[::-1].copy(), x):
+        with pytest.raises(ValueError):
+            emp.at_sample(other)
+    x[0] = emp.sample[0]
+    np.testing.assert_array_equal(emp.at_sample(x), ref)
+
+
 def test_tied_sample_order_does_not_move_the_fit():
     # only the set of weights within a tied group enters the closed-form
     # fit, so the order of the observations cannot matter

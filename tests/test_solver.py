@@ -10,10 +10,10 @@ from hypothesis import strategies as hst
 from wle.datasets import load_dataset
 from wle.families import DegenerateFitError, DomainError, get_family
 from wle.residuals import ResidualConfig, tau_for_sample
-from wle.solver import (Root, SCORE_RESIDUAL_TOL, SolverConfig,
-                        _choose_index, _solve_batch, _subsample_starts,
-                        bootstrap_root_search, build_root_set, cluster_roots,
-                        solve_from)
+from wle.solver import (ROOT_TOL, Root, SCORE_RESIDUAL_TOL, SolverConfig,
+                        _choose_index, _solve_batch, _subsample_indices,
+                        _subsample_starts, bootstrap_root_search,
+                        build_root_set, cluster_roots, solve_from)
 from wle.weights import GammaKernel, ScaledFKernel
 
 
@@ -71,7 +71,75 @@ def test_cluster_roots_dedupes():
     assert distinct[0].weight_sum == 10.0
 
 
+def _cluster_reference(roots):
+    """The pairwise loop that cluster_roots replaced: a root joins an
+    earlier kept root within ROOT_TOL, relative to its own norm."""
+    def same(t1, t2):
+        return (np.max(np.abs(t1 - t2))
+                / (1.0 + np.max(np.abs(t1)))) < ROOT_TOL
+
+    distinct = []
+    for r in sorted(roots, key=lambda r: -r.weight_sum):
+        if not any(same(r.theta, d.theta) for d in distinct):
+            distinct.append(r)
+    return distinct
+
+
+def _root_at(theta, weight_sum):
+    theta = np.asarray(theta, dtype=float)
+    return Root(theta=theta, weights=np.ones(1), weight_sum=weight_sum,
+                iterations=1, converged=True, score_residual=0.0)
+
+
+def test_cluster_roots_norm_is_the_candidates():
+    # 0.100105 / 1001 >= ROOT_TOL > 0.100105 / 1001.100105: the far root is
+    # near the other in its own norm only, so the order of weight decides
+    a, b = [1000.0], [1000.100105]
+    for wa, wb, kept in ((2.0, 1.0, 1), (1.0, 2.0, 2)):
+        roots = [_root_at(a, wa), _root_at(b, wb)]
+        assert len(cluster_roots(roots)) == kept
+        assert cluster_roots(roots) == _cluster_reference(roots)
+
+
+# a case: a dimension, and roots given by a weight, a center, a share of
+# ROOT_TOL * (1 + |center|) to step off it, and twins. A twin steps away
+# from zero in the first coordinate, just past ROOT_TOL in its root's
+# norm, so it falls within ROOT_TOL in its own norm when the step raises it
+_centers = hst.sampled_from([0.0, 1.0, -3.5, 1000.0, 1e6])
+_cluster_cases = hst.tuples(
+    hst.integers(1, 3),
+    hst.lists(hst.tuples(hst.sampled_from([1.0, 2.0, 2.0, 3.5]),
+                         _centers, hst.floats(0.0, 2.5),
+                         hst.lists(hst.floats(0.01, 0.99), max_size=2)),
+              max_size=10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cluster_cases, hst.randoms(use_true_random=False))
+def test_cluster_roots_matches_pairwise_loop(case, rnd):
+    dim, specs = case
+    roots = []
+    for weight, center, share, twins in specs:
+        theta = np.full(dim, center)
+        theta[-1] += share * ROOT_TOL * (1.0 + abs(center))
+        roots.append(_root_at(theta, weight))
+        for u in twins:
+            step = (ROOT_TOL * (1.0 + np.max(np.abs(theta)))
+                    * (1.0 + u * ROOT_TOL))
+            twin = theta.copy()
+            twin[0] += step if twin[0] >= 0 else -step
+            roots.append(_root_at(twin, rnd.choice([weight, 1.0, 3.5])))
+    rnd.shuffle(roots)
+    got, ref = cluster_roots(roots), _cluster_reference(roots)
+    assert len(got) == len(ref) and all(g is r for g, r in zip(got, ref))
+
+
 def test_config_validation():
+    for bad in (0.0, -1e-8, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(tol=bad)
+    with pytest.raises(ValueError):
+        SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(bootstrap_b=0)
     with pytest.raises(ValueError):
@@ -336,6 +404,30 @@ def test_batched_starts_match_subsample_mles(name):
         # rtol 1e-12, with each parameter's scale as the floor
         assert np.all(np.abs(ours - theirs)
                       <= 1e-12 * (np.abs(theirs) + scale))
+
+
+def test_start_indices_memo_serves_each_sample_its_own_fits():
+    # two samples of one size under one config share the drawn indices,
+    # and the second search reads them from the memo; each sample still
+    # gets its own subsample MLEs
+    fam, cfg = get_family("normal"), SolverConfig(seed=3)
+    rng = np.random.default_rng(4)
+    samples = [rng.normal(size=30), rng.exponential(size=30)]
+    _subsample_indices.cache_clear()
+    for x in samples:
+        starts, skipped = _subsample_starts(fam, x, cfg)
+        ref = np.array(_one_at_a_time(fam, x, cfg))
+        assert skipped == 0 and ref.shape == (cfg.bootstrap_b, 2)
+        # rtol 1e-12, with each parameter's scale as the floor
+        assert np.all(np.abs(np.array(starts) - ref)
+                      <= 1e-12 * (np.abs(ref) + np.max(np.abs(ref), axis=0)))
+    info = _subsample_indices.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    idx = _subsample_indices(cfg.seed, cfg.bootstrap_b, 30, cfg.bootstrap_m)
+    assert idx.shape == (cfg.bootstrap_b, cfg.bootstrap_m)
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0, 0] = 0
 
 
 def test_huge_finite_outlier_gets_weight_zero():

@@ -1,5 +1,7 @@
 """Weight-kernel invariants, scipy density-ratio oracles, property tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -23,6 +25,23 @@ def test_endpoint_values(spec):
     assert spec.weight(-1.0) == 0.0
     assert spec.weight(np.inf) == 0.0
     assert spec.weight(-2.0) == 0.0
+
+
+EDGE_TAUS = np.array([-1.0, -2.0, np.inf, -np.inf, np.nan, 1e300])
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+def test_edge_residuals_give_zero_without_warnings(spec):
+    # the kernel runs on the whole array and zeroes tau <= -1, +inf and
+    # NaN afterwards; no warning escapes, and an array gives bit for bit
+    # the weights of its entries taken one at a time
+    mixed = np.concatenate([EDGE_TAUS, TAUS, EDGE_TAUS[::-1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [spec.weight(t) for t in EDGE_TAUS] == [0.0] * EDGE_TAUS.size
+        array = spec.weight(mixed)
+        single = np.array([spec.weight(t) for t in mixed])
+    assert array.tobytes() == single.tobytes()
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
