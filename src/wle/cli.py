@@ -237,8 +237,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # DomainError, DegenerateFitError included
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

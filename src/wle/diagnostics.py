@@ -20,7 +20,7 @@ from scipy.special import ndtri
 
 from .families import get_family
 from .quadrature import Quadrature
-from .residuals import tau_branch
+from .residuals import ResidualConfig, tau_branch
 
 QUAD = Quadrature()
 
@@ -238,7 +238,10 @@ def influence_report(family, theta, weight_spec, y):
 
 
 def population_weighted_score(contam_spec, weight_spec, mu, p=0.5):
-    """Weighted score integral of the N(mu, 1) model against a mixture."""
+    """Weighted score integral of the N(mu, 1) model against a mixture.
+
+    The tail fraction p must be in (0, 1/2], as in `ResidualConfig`."""
+    p = ResidualConfig(p=p).p
     mu = float(mu)
     fam = get_family("normal_location")
     theta = np.array([mu])
@@ -263,7 +266,8 @@ def mixture_root_scan(contam_spec, weight_spec, mu_grid, p=0.5):
 
     The score integral is evaluated on the grid, sign changes are
     bracketed, and each bracket is refined by bisection to 1e-6. Returns
-    the list of roots (possibly empty) in increasing order.
+    the list of roots (possibly empty) in increasing order. A tail
+    fraction p outside (0, 1/2] raises ValueError.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if np.any(np.diff(mu_grid) <= 0):

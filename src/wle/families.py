@@ -8,7 +8,9 @@ influence analysis needs.
 The score, `cdf_survival`, the weighted fit and the weighted score take
 a batch of parameters or weights, with one row per start of a root search.
 Five families are supported: Poisson, univariate normal, exponential,
-bivariate normal and normal linear regression.
+bivariate normal and normal linear regression. The normal, the normal
+location and the regression families share `NormalErrors`: each
+observation has one standardized residual z, with F = ndtr(z).
 """
 
 import numpy as np
@@ -116,6 +118,20 @@ class Family:
         return r
 
 
+class NormalErrors(Family):
+    """A family whose model tails are those of one standardized residual.
+
+    `residuals` gives z(theta, x), and F = ndtr(z), S = ndtr(-z)."""
+
+    def residuals(self, theta, x):
+        """Standardized residuals; a (B, dim) batch gives (B, n) rows."""
+        raise NotImplementedError
+
+    def cdf_survival(self, theta, x):
+        z = self.residuals(theta, x)
+        return ndtr(z), ndtr(-z)
+
+
 def _weight_sums(w):
     """Row sums of a weight batch, NaN where the total weight collapsed."""
     sw = w.sum(axis=1)
@@ -172,7 +188,7 @@ class Poisson(Family):
         return np.where(lam > 0, lam, np.nan)[:, None]
 
 
-class Normal(Family):
+class Normal(NormalErrors):
     """Univariate normal parametrized by (mu, sigma^2)."""
 
     name = "normal"
@@ -196,10 +212,9 @@ class Normal(Family):
         d = _asarray1d(x) - t[..., 0:1]
         return np.stack([d / s2, (d * d - s2) / (2 * s2 * s2)], axis=-1)
 
-    def cdf_survival(self, theta, x):
+    def residuals(self, theta, x):
         t = np.asarray(theta, dtype=float)
-        z = (_asarray1d(x) - t[..., 0:1]) / np.sqrt(t[..., 1:2])
-        return ndtr(z), ndtr(-z)
+        return (_asarray1d(x) - t[..., 0:1]) / np.sqrt(t[..., 1:2])
 
     def cdf_gradient(self, theta, x):
         mu, s2 = theta
@@ -302,7 +317,7 @@ class Exponential(Family):
         return np.where(m > 0, 1.0 / m, np.nan)[:, None]
 
 
-class NormalLocation(Family):
+class NormalLocation(NormalErrors):
     """Normal location model with known unit variance, N(mu, 1)."""
 
     name = "normal_location"
@@ -325,9 +340,8 @@ class NormalLocation(Family):
     def score_curvature(self, theta, x):
         return np.zeros(_asarray1d(x).size)
 
-    def cdf_survival(self, theta, x):
-        z = _asarray1d(x) - np.asarray(theta, dtype=float)[..., 0:1]
-        return ndtr(z), ndtr(-z)
+    def residuals(self, theta, x):
+        return _asarray1d(x) - np.asarray(theta, dtype=float)[..., 0:1]
 
     def cdf_gradient(self, theta, x):
         z = _asarray1d(x) - float(np.asarray(theta).reshape(-1)[0])
@@ -417,7 +431,7 @@ class BivariateNormal(Family):
         return np.column_stack([mu1, mu2, s1, s2, rho])
 
 
-class NormalRegression(Family):
+class NormalRegression(NormalErrors):
     """Homoscedastic normal linear regression, theta = (beta0, beta1, sigma).
 
     Observations are (x, y) records; the covariate is treated as fixed and
@@ -436,12 +450,9 @@ class NormalRegression(Family):
         pass
 
     def residuals(self, theta, xy):
-        """Standardized residuals (y - beta0 - beta1 x) / sigma.
-
-        A (B, 3) parameter batch gives one (B, n) row per parameter."""
+        """(y - beta0 - beta1 x) / sigma; a (B, 3) batch gives (B, n) rows."""
         t = np.asarray(theta, dtype=float)
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        # a huge outlier's residual overflows to +-inf: its weight is 0
         with np.errstate(over="ignore"):
             return ((xy[:, 1] - t[..., 0:1] - t[..., 1:2] * xy[:, 0])
                     / t[..., 2:3])
@@ -453,10 +464,6 @@ class NormalRegression(Family):
         e = y - t[..., 0:1] - t[..., 1:2] * x
         return np.stack([e / sig**2, e * x / sig**2,
                          (e * e - sig**2) / sig**3], axis=-1)
-
-    def cdf_survival(self, theta, xy):
-        z = self.residuals(theta, xy)
-        return ndtr(z), ndtr(-z)
 
     def weighted_fit_batch(self, xy, w):
         # weighted least squares on the centred covariate: the 2x2 normal

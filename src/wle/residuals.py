@@ -3,15 +3,18 @@
 The residual compares the empirical distribution function with the model
 in the lower tail and the empirical survival function with the model in
 the upper tail; observations in the central region get residual zero.
-Univariate data and standardized regression residuals share the one
-three-branch function `tau_branch`, which the population diagnostics use
-too; bivariate data take the quadrant of smallest model probability.
+Univariate data share the one three-branch function `tau_branch`, which
+the population diagnostics use too; the normal-error families, regression
+included, read the same branches from one model tail per observation;
+bivariate data take the quadrant of smallest model probability.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
+
+from .families import NormalErrors
 
 
 @dataclass(frozen=True)
@@ -122,26 +125,51 @@ class EmpiricalFunctions:
         ])
 
 
+def _tail_ratio(tail, model_tail):
+    """tail / model_tail - 1, with +inf wherever that is not finite."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tau = np.asarray(tail / model_tail)
+    tau -= 1.0
+    np.copyto(tau, np.inf, where=~np.isfinite(tau))
+    return tau
+
+
 def tau_branch(Fn, Sn, F, S, p):
     """Three-branch residual, vectorized.
 
     Lower tail (F <= p): Fn / F - 1. Upper tail (F >= 1 - p):
-    Sn / S - 1. Zero in between. A vanished model tail gives +inf,
-    which every weight function maps to zero. Fn and Sn broadcast against
-    F and S, so one sample's empirical functions serve a whole (B, n)
-    batch of model functions; the distribution and survival functions of
-    a smooth distribution in place of Fn and Sn give its population
-    residual."""
+    Sn / S - 1. Zero in between. A vanished model tail or an undefined F
+    gives +inf, which every weight function maps to zero. Fn and Sn
+    broadcast against F and S, so one sample's empirical functions serve
+    a whole (B, n) batch of model functions; the distribution and
+    survival functions of a smooth distribution in place of Fn and Sn
+    give its population residual. Each point's tails are picked before
+    the one division."""
     F = np.asarray(F, dtype=float)
     S = np.asarray(S, dtype=float)
-    lower = F <= p
+    # F = p = 1 - p (p = 1/2) takes the upper branch
     upper = F >= 1.0 - p
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # F = p = 1 - p (p = 1/2) takes the upper branch
-        tau = np.where(upper, Sn / S, np.where(lower, Fn / F, 1.0))
-    tau -= 1.0
-    np.copyto(tau, np.inf, where=~np.isfinite(tau))
+    tau = _tail_ratio(np.where(upper, Sn, Fn), np.where(upper, S, F))
+    if p < 0.5:  # the central region; at p = 1/2 it is empty
+        np.copyto(tau, 0.0, where=(F > p) & ~upper)
     return tau
+
+
+def _normal_tau(Fn, Sn, z, p):
+    """tau_branch(Fn, Sn, ndtr(z), ndtr(-z), p) from one ndtr per element.
+
+    q = ndtr(-|z|) is the model tail that each branch reads: F below the
+    median, S above it. At p = 1/2 the upper branch, F >= 1/2, is z >= 0
+    or q == 1/2, since ndtr rounds tiny negative z to 1/2; only a smaller
+    p needs F itself, for the branch test."""
+    q = np.abs(z)
+    np.negative(q, out=q)
+    ndtr(q, out=q)
+    if p < 0.5:
+        return tau_branch(Fn, Sn, ndtr(z), q, p)
+    upper = z >= 0
+    upper |= q == 0.5
+    return _tail_ratio(np.where(upper, Sn, Fn), q)
 
 
 def _quadrant_tau(model_q, emp_q):
@@ -156,9 +184,7 @@ def _quadrant_tau(model_q, emp_q):
         take = model_q[j] < pm
         pm = np.where(take, model_q[j], pm)
         emp = np.where(take, emp_q[:, j], emp)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tau = emp / pm - 1.0
-    return np.where(np.isfinite(tau), tau, np.inf)
+    return _tail_ratio(emp, pm)
 
 
 def tau_for_sample(config, family, theta, data, empirical=None):
@@ -172,15 +198,16 @@ def tau_for_sample(config, family, theta, data, empirical=None):
     (regression residuals included), inclusive counts for a discrete one,
     quadrant masses for bivariate data, where the residual comes from the
     quadrant of smallest model probability. The branch follows
-    `family.kind`. A supplied `empirical` must have been built from
-    `data`.
+    `family.kind`; a `NormalErrors` family reads one model tail per
+    observation from its standardized residuals. A supplied `empirical`
+    must have been built from `data`.
     """
     theta = np.asarray(theta, dtype=float)
     thetas = np.atleast_2d(theta)
     if family.kind == "regression":
         z = family.residuals(thetas, data)
         Fn, Sn = _rank_functions(np.argsort(z, axis=-1, kind="stable"))
-        tau = tau_branch(Fn, Sn, ndtr(z), ndtr(-z), config.p)
+        tau = _normal_tau(Fn, Sn, z, config.p)
     elif family.kind == "bivariate":
         xy = np.asarray(data, dtype=float)
         if xy.ndim != 2:
@@ -193,7 +220,14 @@ def tau_for_sample(config, family, theta, data, empirical=None):
         x = np.atleast_1d(np.asarray(data, dtype=float))
         if empirical is None:
             empirical = EmpiricalFunctions(x)
-        F, S = family.cdf_survival(thetas, x)
         Fn, Sn = empirical.at_sample(x, family.discrete)
-        tau = tau_branch(Fn, Sn, F, S, config.p)
+        if isinstance(family, NormalErrors):
+            # a huge outlier over a tiny scale standardizes to +-inf: its
+            # model tail is 0 and its weight 0
+            with np.errstate(over="ignore"):
+                z = family.residuals(thetas, x)
+            tau = _normal_tau(Fn, Sn, z, config.p)
+        else:
+            tau = tau_branch(Fn, Sn, *family.cdf_survival(thetas, x),
+                             config.p)
     return tau if theta.ndim == 2 else tau[0]

@@ -158,3 +158,25 @@ def test_solver_defaults_come_from_solver_config(command):
     args = build_parser().parse_args([command, "--model", "normal",
                                       "--data", "newcomb"])
     assert _configs(args)[2] == SolverConfig()
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--model", "normal", "--data", "newcomb", "--columns",
+     "deviation", "--tol", "0"],
+    ["roots", "--model", "normal", "--data", "newcomb", "--columns",
+     "deviation", "--bootstrap-b", "0"],
+    ["fit", "--model", "normal", "--data", "newcomb", "--p", "0.9"],
+    ["roots", "--model", "normal", "--data", "newcomb", "--alpha", "0.5"],
+    ["roots", "--model", "exponential", "--data", "newcomb", "--columns",
+     "deviation"],
+    ["diagnose", "--mixture-scan", "--p", "0.9"],
+], ids=["tol", "bootstrap-b", "p", "alpha", "out-of-support", "scan-p"])
+def test_invalid_values_are_usage_errors(capsys, argv):
+    # a bad value or out-of-support data ends in one usage line, not a
+    # traceback
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("wle: error: ")
+    assert "Traceback" not in err

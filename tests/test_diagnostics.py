@@ -157,3 +157,17 @@ def test_scan_rejects_unsorted_grid():
                            contaminant=ModelDistribution(fam, (5.0,)))
     with pytest.raises(ValueError):
         mixture_root_scan(cs, GammaKernel(1.1), np.array([0.0, 1.0, 0.5]))
+
+
+@pytest.mark.parametrize("p", [0.0, -0.1, 0.5000001, 0.9])
+def test_population_score_and_scan_reject_p_outside_half(p):
+    # past 1/2 the two tail branches overlap; the scan must not report
+    # roots of that residual
+    fam = get_family("normal_location")
+    cs = ContaminationSpec(base=ModelDistribution(fam, (0.0,)), eps=0.2,
+                           contaminant=ModelDistribution(fam, (5.0,)))
+    with pytest.raises(ValueError, match=r"p must be in \(0, 0.5\]"):
+        population_weighted_score(cs, GammaKernel(1.1), 0.0, p=p)
+    with pytest.raises(ValueError, match=r"p must be in \(0, 0.5\]"):
+        mixture_root_scan(cs, GammaKernel(1.1), np.linspace(-2.0, 7.0, 46),
+                          p=p)

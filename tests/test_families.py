@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtr
 
 from wle.bvn import bvn_cdf
 from wle.families import (DegenerateFitError, DomainError, FAMILIES,
@@ -367,3 +367,42 @@ def test_score_matches_numeric_gradient_of_logpdf():
         tm[j] -= h
         num = (logpdf(tp) - logpdf(tm)) / (2 * h)
         assert fam.score(theta, x)[0, j] == pytest.approx(num, abs=1e-5)
+
+
+@pytest.mark.parametrize("name", ["normal", "normal_location",
+                                  "normal_regression"])
+def test_normal_error_cdf_survival_is_the_old_formula(name):
+    # the normal-error families share one cdf_survival on their
+    # standardized residual; it must give the formulas each family wrote
+    # out before, bit for bit, for one theta and for a batch
+    rng = np.random.default_rng(17)
+    fam = get_family(name)
+    if name == "normal":
+        x = rng.normal(1.0, 3.0, 25)
+        thetas = np.column_stack([rng.normal(size=6),
+                                  rng.uniform(0.05, 9.0, 6)])
+
+        def old(t):
+            z = (x - t[..., 0:1]) / np.sqrt(t[..., 1:2])
+            return ndtr(z), ndtr(-z)
+    elif name == "normal_location":
+        x = rng.normal(0.0, 2.0, 25)
+        thetas = rng.normal(size=(6, 1))
+
+        def old(t):
+            z = x - t[..., 0:1]
+            return ndtr(z), ndtr(-z)
+    else:
+        x = rng.normal(size=(25, 2))
+        thetas = np.column_stack([rng.normal(size=6), rng.normal(size=6),
+                                  rng.uniform(0.1, 3.0, 6)])
+
+        def old(t):
+            z = (x[:, 1] - t[..., 0:1] - t[..., 1:2] * x[:, 0]) / t[..., 2:3]
+            return ndtr(z), ndtr(-z)
+    for t in (thetas, thetas[2]):
+        F, S = fam.cdf_survival(t, x)
+        F0, S0 = old(t)
+        assert F.shape == F0.shape and S.shape == S0.shape
+        np.testing.assert_array_equal(F.view(np.uint64), F0.view(np.uint64))
+        np.testing.assert_array_equal(S.view(np.uint64), S0.view(np.uint64))

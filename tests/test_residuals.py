@@ -1,5 +1,7 @@
 """Empirical-function conventions and tail-residual branch logic."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,3 +243,117 @@ def test_property_empirical_bounds(xs):
     F, S = emp.cdf(grid), emp.survival(grid)
     assert np.all((0 <= F) & (F <= 1)) and np.all((0 <= S) & (S <= 1))
     assert np.all(np.diff(F) >= 0) and np.all(np.diff(S) <= 0)
+
+
+def _tau_branch_reference(Fn, Sn, F, S, p):
+    # the two-division residual that tau_branch replaced: both tail ratios
+    # at every point, then the branch picks one
+    F = np.asarray(F, dtype=float)
+    S = np.asarray(S, dtype=float)
+    lower = F <= p
+    upper = F >= 1.0 - p
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tau = np.where(upper, Sn / S, np.where(lower, Fn / F, 1.0))
+    tau -= 1.0
+    np.copyto(tau, np.inf, where=~np.isfinite(tau))
+    return tau
+
+
+def _assert_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# standardized residuals at the branch split, at the float limits of ndtr
+# and past its underflow
+_EDGE_Z = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17,
+                    np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0), 1.0,
+                    -1.0, 8.3, -8.3, 38.5, -38.5, 40.0, -40.0])
+_ONE_TAIL_CASES = {
+    # theta 0 (unit variance) leaves the edge values as they are; a tiny
+    # variance or sigma standardizes a 1e300 observation to +-inf
+    "normal": (np.r_[_EDGE_Z, 1e300, -1e300],
+               np.array([[0.0, 1.0], [0.0, 1e-300], [0.3, 2.0]])),
+    "normal_location": (_EDGE_Z, np.array([[0.0], [1e-17], [-0.7]])),
+    "normal_regression": (
+        np.column_stack([np.linspace(-1.0, 1.0, _EDGE_Z.size + 2),
+                         np.r_[_EDGE_Z, 1e300, -1e300]]),
+        np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1e-300], [0.2, -0.5, 1.5]])),
+}
+
+
+def _reference_z(name, thetas, x):
+    # the standardized residual of the normal-error families, written out
+    if name == "normal":
+        return (x - thetas[:, 0:1]) / np.sqrt(thetas[:, 1:2])
+    if name == "normal_location":
+        return x - thetas[:, 0:1]
+    return ((x[:, 1] - thetas[:, 0:1] - thetas[:, 1:2] * x[:, 0])
+            / thetas[:, 2:3])
+
+
+@pytest.mark.parametrize("p", [0.5, 0.45, 0.2, 0.1])
+@pytest.mark.parametrize("name", sorted(_ONE_TAIL_CASES))
+def test_one_tail_residual_matches_both_tails_bit_for_bit(name, p):
+    # the solver residual of a normal-error family reads one tail,
+    # ndtr(-|z|), per observation; it must equal the three-branch residual
+    # of both tails, ndtr(z) and ndtr(-z), bit for bit and without a warning
+    x, thetas = _ONE_TAIL_CASES[name]
+    fam = get_family(name)
+    rc = ResidualConfig(p=p, kind=fam.kind)
+    with np.errstate(over="ignore"):
+        z = _reference_z(name, thetas, x)
+    if name == "normal_regression":
+        Fn, Sn = np.array([EmpiricalFunctions(row).at_sample(row)
+                           for row in z]).transpose(1, 0, 2)
+    else:
+        Fn, Sn = EmpiricalFunctions(x).at_sample(x)
+    ref = _tau_branch_reference(Fn, Sn, ndtr(z), ndtr(-z), p)
+    if name != "normal_location":
+        np.testing.assert_array_equal(z[1, -2:], [np.inf, -np.inf])
+    with np.errstate(over="ignore"):
+        _assert_bits(fam.residuals(thetas, x), z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_bits(tau_for_sample(rc, fam, thetas, x), ref)
+        for b, theta in enumerate(thetas):
+            _assert_bits(tau_for_sample(rc, fam, theta, x), ref[b])
+
+
+@pytest.mark.parametrize("p", [0.5, 0.2])
+def test_undefined_model_tail_gets_inf(p):
+    # an undefined standardized residual or F gets weight zero, not the
+    # central region's residual 0 (weight one), whichever p
+    fam, x = get_family("normal_location"), np.array([-1.0, 0.0, 2.0])
+    tau = tau_for_sample(ResidualConfig(p=p), fam, np.array([np.nan]), x)
+    assert np.all(tau == np.inf)
+    F = np.array([0.1, np.nan, 0.5, np.nan])
+    assert np.array_equal(tau_branch(0.5, 0.5, F, 1.0 - F, p) == np.inf,
+                          np.isnan(F))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.45, 0.2, 0.1])
+def test_tau_branch_matches_two_division_reference(p):
+    # tau_branch picks each point's tails before its one division; the
+    # result is the two-division residual bit for bit, at the branch
+    # boundaries, for vanished tails, batched against one sample's Fn and
+    # Sn, and for scalars
+    rng = np.random.default_rng(21)
+    F = np.r_[rng.uniform(size=40), 0.0, 1.0, p, 1.0 - p, 0.5,
+              np.nextafter(p, 1.0), np.nextafter(1.0 - p, 0.0)]
+    S = np.r_[1.0 - F[:40], 1.0, 0.0, 1.0 - p, p, 0.5, 0.5, 0.5]
+    Fn = np.r_[rng.uniform(0.01, 1.0, 40), 0.0, 0.5, 0.3, 0.7, 0.5, 0.5,
+               0.5]
+    Sn = np.r_[rng.uniform(0.01, 1.0, 40), 0.5, 0.0, 0.7, 0.3, 0.5, 0.5,
+               0.5]
+    batch = np.stack([F, F[::-1], np.sort(F)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_bits(tau_branch(Fn, Sn, F, S, p),
+                     _tau_branch_reference(Fn, Sn, F, S, p))
+        _assert_bits(tau_branch(Fn, Sn, batch, 1.0 - batch, p),
+                     _tau_branch_reference(Fn, Sn, batch, 1.0 - batch, p))
+        for i in range(F.size):
+            _assert_bits(tau_branch(Fn[i], Sn[i], F[i], S[i], p),
+                         _tau_branch_reference(Fn[i], Sn[i], F[i], S[i], p))
