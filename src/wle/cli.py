@@ -166,11 +166,9 @@ def _add_model_args(p, model_required=True):
 def _add_weight_args(p):
     p.add_argument("--weight-fn", default="gamma",
                    choices=[*KERNELS, "none"])
-    p.add_argument("--alpha", type=float, default=1.01)
-    p.add_argument("--k", type=float, default=1.01)
-    p.add_argument("--xi", type=float, default=10.0)
-    p.add_argument("--d1", type=float, default=2.1)
-    p.add_argument("--d2", type=float, default=1.0)
+    for kernel in KERNELS.values():  # one flag per tuning field
+        for f in fields(kernel):
+            p.add_argument(f"--{f.name}", type=float, default=f.default)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--tol", type=float, default=SolverConfig.tol)
     p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)

@@ -20,7 +20,7 @@ from scipy.special import ndtri
 
 from .families import get_family
 from .quadrature import Quadrature
-from .residuals import ResidualConfig, tau_branch
+from .residuals import ResidualConfig, model_tail, tau_branch
 
 QUAD = Quadrature()
 
@@ -46,41 +46,28 @@ class ModelDistribution:
         return self.family.pdf(np.asarray(self.theta, float), x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ContaminationSpec:
-    """A base distribution contaminated at level eps.
-
-    The contaminant is either a point mass at `y` or a second distribution
-    (`contaminant`), giving the mixture (1 - eps) * base + eps * contaminant.
-    """
+    """The mixture (1 - eps) * base + eps * contaminant."""
 
     base: ModelDistribution
     eps: float = 0.0
-    y: float = None
-    contaminant: ModelDistribution = None
+    contaminant: ModelDistribution
 
     def __post_init__(self):
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError("eps must be in [0, 1]")
-        if (self.y is None) == (self.contaminant is None):
-            raise ValueError("specify exactly one of y and contaminant")
 
     def _mix(self, base, contaminant):
         return (1.0 - self.eps) * base + self.eps * contaminant
 
-    def _smooth_contaminant(self):
-        if self.contaminant is None:
-            raise ValueError("point-mass contamination has no smooth "
-                             "distribution; handle the atom analytically")
-        return self.contaminant
-
     def cdf_survival(self, x):
-        Fc, Sc = self._smooth_contaminant().cdf_survival(x)
+        Fc, Sc = self.contaminant.cdf_survival(x)
         Fb, Sb = self.base.cdf_survival(x)
         return self._mix(Fb, Fc), self._mix(Sb, Sc)
 
     def pdf(self, x):
-        return self._mix(self.base.pdf(x), self._smooth_contaminant().pdf(x))
+        return self._mix(self.base.pdf(x), self.contaminant.pdf(x))
 
 
 @dataclass
@@ -102,22 +89,43 @@ def fisher_consistency_check(family, theta, residual_config, weight_spec):
     """
     theta = np.asarray(theta, dtype=float)
     family.check_params(theta)
-
-    a, b = family.integration_range(theta)
-    if family.discrete:
-        k = np.arange(a, b + 1.0)
-        F, S = family.cdf_survival(theta, k)
-        tau = tau_branch(F, S, F, S, residual_config.p)
-        w = weight_spec.weight(tau)
-        return (w * family.pmf(theta, k)) @ family.score(theta, k)
+    density = family.pmf if family.discrete else family.pdf
 
     def integrand(x):
+        """H(tau) f_theta at the nodes x; the score multiplies it."""
         F, S = family.cdf_survival(theta, x)
-        tau = tau_branch(F, S, F, S, residual_config.p)
-        w = weight_spec.weight(tau)
-        return w[:, None] * family.score(theta, x) * family.pdf(theta, x)[:, None]
+        w = weight_spec.weight(tau_branch(F, S, F, S, residual_config.p))
+        return w * density(theta, x)
 
-    return QUAD.integrate(integrand, a, b, points=[family.median(theta)])
+    a, b = family.integration_range(theta)
+    if family.discrete:  # the sum over the integers in the range
+        k = np.arange(a, b + 1.0)
+        return integrand(k) @ family.score(theta, k)
+    return QUAD.integrate(
+        lambda x: integrand(x)[:, None] * family.score(theta, x), a, b,
+        points=[family.median(theta)])
+
+
+def _influence_point(family, theta, y):
+    """y as a float; outside the support, or where the model tail that the
+    residual reads is zero, the influence is undefined and this raises."""
+    family.check_support(y)
+    _, T = model_tail(*family.cdf_survival(theta, np.atleast_1d(y)), 0.5)
+    if not T[0] > 0:
+        raise ValueError(f"the model tail at y = {y} is zero or undefined")
+    return float(y)
+
+
+def _tail_pieces(family, theta, x, y):
+    """F, S, the model tail T that the residual reads at the nodes x (F
+    below the median, S above), its gradient dT (grad S = -grad F), the
+    point mass at y on T's side and the (n, d) score."""
+    F, S = family.cdf_survival(theta, x)
+    upper, T = model_tail(F, S, 0.5)
+    gradF = family.cdf_gradient(theta, x)
+    dT = np.where(upper[:, None], -gradF, gradF)
+    mass = np.where(upper, y >= x, x >= y).astype(float)
+    return F, S, T, dT, mass, family.score(theta, x)
 
 
 def influence_first_order(family, theta_g, weight_spec, y, g=None):
@@ -126,45 +134,38 @@ def influence_first_order(family, theta_g, weight_spec, y, g=None):
     `g` is the true distribution (anything with cdf_survival and pdf); it
     defaults to the model at theta_g, in which case the result must equal
     the maximum-likelihood influence I(theta)^{-1} u_theta(y). The two
-    integration regions are split at F_theta = 1/2 and the point-mass
-    indicators are handled by breaking the panels at y.
+    integration regions are split at the median and the point-mass
+    indicators are handled by breaking the panels at y. A y outside the
+    support, or where the model tail is zero, raises.
     """
     theta = np.asarray(theta_g, dtype=float)
     family.check_params(theta)
     if family.discrete:
         raise NotImplementedError("influence analysis covers the continuous "
                                   "univariate families")
+    y = _influence_point(family, theta, y)
     if g is None:
         g = ModelDistribution(family, tuple(theta))
     a, b = family.integration_range(theta)
-    y = float(y)
     cuts = [family.median(theta), y]
 
     def pieces(x):
-        F, S = family.cdf_survival(theta, x)
+        F, S, T, dT, mass, u = _tail_pieces(family, theta, x, y)
         tau = tau_branch(*g.cdf_survival(x), F, S, 0.5)
-        H = weight_spec.weight(tau)
-        Hp = weight_spec.weight_derivative(tau)
-        u = family.score(theta, x)            # (n, d)
-        gradF = family.cdf_gradient(theta, x) # (n, d)
-        dens = g.pdf(x)
-        lower = (F <= 0.5)[:, None]
-        return F, S, tau, H, Hp, u, gradF, dens, lower
+        H, Hp = weight_spec.weight(tau), weight_spec.weight_derivative(tau)
+        return tau, H, Hp, T, dT, mass, u, g.pdf(x)
 
     def d_integrand(x):
-        F, S, tau, H, Hp, u, gradF, dens, lower = pieces(x)
-        # tail term: H'(tau) u (grad F / F) (tau + 1), with grad S = -grad F
-        ratio = np.where(lower, gradF / F[:, None], -gradF / S[:, None])
+        tau, H, Hp, T, dT, _, u, dens = pieces(x)
+        # tail term: H'(tau) u (grad T / T) (tau + 1)
+        ratio = dT / T[:, None]
         tail = (Hp * (tau + 1.0))[:, None, None] * u[:, :, None] * ratio[:, None, :]
         jac = -family.score_jacobian(theta, x)
         return (tail + H[:, None, None] * jac) * dens[:, None, None]
 
     def n_integrand(x):
-        F, S, tau, H, Hp, u, gradF, dens, lower = pieces(x)
-        lam = np.where(x >= y, 1.0, 0.0)       # Lambda_y(x)
-        lam_bar = np.where(y >= x, 1.0, 0.0)   # P(point mass >= x)
-        atom = np.where(lower[:, 0], lam / F, lam_bar / S)
-        return ((Hp * atom - Hp * (tau + 1.0)) * dens)[:, None] * u
+        tau, _, Hp, T, _, mass, u, dens = pieces(x)
+        return ((Hp * (mass / T) - Hp * (tau + 1.0)) * dens)[:, None] * u
 
     D = QUAD.integrate(d_integrand, a, b, points=cuts)
     N = QUAD.integrate(n_integrand, a, b, points=cuts)
@@ -181,39 +182,31 @@ def influence_second_order(family, theta, weight_spec, y):
     Evaluated at the model for scalar-parameter families; the three
     integral groups share the template in which only w''(0) distinguishes
     one weight family from another (it enters the middle group with a
-    flipped sign).
+    flipped sign). The point y is checked as in `influence_first_order`.
     """
     theta = np.asarray(theta, dtype=float)
     family.check_params(theta)
     if theta.size != 1 or family.discrete:
         raise NotImplementedError("second-order analysis covers the "
                                   "continuous scalar-parameter families")
+    y = _influence_point(family, theta, y)
     c = weight_spec.second_derivative_at_zero()
     a, b = family.integration_range(theta)
-    y = float(y)
     info = float(family.fisher_information(theta)[0, 0])
     u_y = float(family.score(theta, np.atleast_1d(y))[0, 0])
     grad_u_y = float(family.score_jacobian(theta, np.atleast_1d(y))[0, 0, 0])
     t1 = u_y / info
 
     def groups(x):
-        F, S = family.cdf_survival(theta, x)
-        u = family.score(theta, x)[:, 0]
-        gradF = family.cdf_gradient(theta, x)[:, 0]
-        dens = family.pdf(theta, x)
-        lower = F <= 0.5
-        lam = np.where(x >= y, 1.0, 0.0)
-        lam_bar = np.where(y >= x, 1.0, 0.0)
-        # squared point-mass mismatch against the tail probabilities
-        g1 = np.where(lower, (u / F) * (lam - F) ** 2,
-                      (u / S) * (lam_bar - S) ** 2)
-        # gradient-weighted mismatch; grad S = -grad F
-        g2 = np.where(lower, u * (gradF / F) * (lam - F),
-                      u * (-gradF / S) * (lam_bar - S))
-        g3 = np.where(lower, u * (gradF / F) ** 2 * F,
-                      u * (gradF / S) ** 2 * S)
+        _, _, T, dT, mass, u = _tail_pieces(family, theta, x, y)
+        r, u = dT[:, 0] / T, u[:, 0]
+        # squared point-mass mismatch against the model tail, the
+        # gradient-weighted mismatch, and the squared gradient term
+        g1 = (u / T) * (mass - T) ** 2
+        g2 = u * r * (mass - T)
+        g3 = u * r ** 2 * T
         g4 = family.score_curvature(theta, x)
-        return dens[:, None] * np.column_stack([g1, g2, g3, g4])
+        return family.pdf(theta, x)[:, None] * np.column_stack([g1, g2, g3, g4])
 
     i1, i2, i3, i4 = QUAD.integrate(groups, a, b,
                                     points=[family.median(theta), y])

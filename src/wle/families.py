@@ -48,10 +48,12 @@ class Family:
     min_subsample = 2    # smallest subsample that identifies the parameters
 
     def check_params(self, theta):
-        raise NotImplementedError
+        """Raise DomainError for a parameter outside the parameter space,
+        which by default is every real vector."""
 
     def check_support(self, x):
-        raise NotImplementedError
+        """Raise DomainError for observations outside the support, which
+        by default is every real value."""
 
     def score(self, theta, x):
         """Gradient of the log-density at each observation.
@@ -140,7 +142,6 @@ def _weight_sums(w):
 
 class Poisson(Family):
     name = "poisson"
-    kind = "univariate"
     discrete = True
 
     def check_params(self, theta):
@@ -152,13 +153,10 @@ class Poisson(Family):
         if np.any(x < 0) or np.any(x != np.floor(x)):
             raise DomainError("Poisson observations must be nonnegative integers")
 
-    def logpmf(self, theta, x):
+    def pmf(self, theta, x):
         lam = float(np.asarray(theta).reshape(-1)[0])
         x = _asarray1d(x)
-        return x * np.log(lam) - lam - gammaln(x + 1)
-
-    def pmf(self, theta, x):
-        return np.exp(self.logpmf(theta, x))
+        return np.exp(x * np.log(lam) - lam - gammaln(x + 1))
 
     def score(self, theta, x):
         lam = np.asarray(theta, dtype=float)[..., 0:1]
@@ -192,19 +190,14 @@ class Normal(NormalErrors):
     """Univariate normal parametrized by (mu, sigma^2)."""
 
     name = "normal"
-    kind = "univariate"
 
     def check_params(self, theta):
         if not np.asarray(theta)[1] > 0:
             raise DomainError("sigma^2 must be positive")
 
-    def check_support(self, x):
-        pass
-
     def pdf(self, theta, x):
-        mu, s2 = theta
-        z = (_asarray1d(x) - mu) / np.sqrt(s2)
-        return np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi * s2)
+        z = self.residuals(theta, x)
+        return np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi * theta[1])
 
     def score(self, theta, x):
         t = np.asarray(theta, dtype=float)
@@ -217,13 +210,11 @@ class Normal(NormalErrors):
         return (_asarray1d(x) - t[..., 0:1]) / np.sqrt(t[..., 1:2])
 
     def cdf_gradient(self, theta, x):
-        mu, s2 = theta
-        sig = np.sqrt(s2)
-        x = _asarray1d(x)
-        z = (x - mu) / sig
+        s2 = theta[1]
+        z = self.residuals(theta, x)
         phi = np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
         # dF/dmu = -phi(z)/sigma, dF/dsigma2 = -z*phi(z)/(2 sigma^2)
-        return np.column_stack([-phi / sig, -z * phi / (2 * s2)])
+        return np.column_stack([-phi / np.sqrt(s2), -z * phi / (2 * s2)])
 
     def score_jacobian(self, theta, x):
         mu, s2 = theta
@@ -265,7 +256,6 @@ class Normal(NormalErrors):
 
 class Exponential(Family):
     name = "exponential"
-    kind = "univariate"
 
     def check_params(self, theta):
         if not np.all(np.asarray(theta) > 0):
@@ -321,16 +311,9 @@ class NormalLocation(NormalErrors):
     """Normal location model with known unit variance, N(mu, 1)."""
 
     name = "normal_location"
-    kind = "univariate"
-
-    def check_params(self, theta):
-        pass
-
-    def check_support(self, x):
-        pass
 
     def pdf(self, theta, x):
-        z = _asarray1d(x) - float(np.asarray(theta).reshape(-1)[0])
+        z = self.residuals(theta, x)
         return np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
 
     def score(self, theta, x):
@@ -344,8 +327,7 @@ class NormalLocation(NormalErrors):
         return _asarray1d(x) - np.asarray(theta, dtype=float)[..., 0:1]
 
     def cdf_gradient(self, theta, x):
-        z = _asarray1d(x) - float(np.asarray(theta).reshape(-1)[0])
-        return (-np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi))[:, None]
+        return -self.pdf(theta, x)[:, None]
 
     def score_jacobian(self, theta, x):
         return np.full((_asarray1d(x).size, 1, 1), -1.0)
@@ -375,9 +357,6 @@ class BivariateNormal(Family):
         _, _, s1, s2, rho = theta
         if s1 <= 0 or s2 <= 0 or not abs(rho) < 1:
             raise DomainError("need sigma^2 > 0 and |rho| < 1")
-
-    def check_support(self, x):
-        pass
 
     def _standardize(self, theta, xy):
         """Standardized coordinates (z1, z2) and rho; a (B, 5) batch gives
@@ -445,9 +424,6 @@ class NormalRegression(NormalErrors):
     def check_params(self, theta):
         if not theta[2] > 0:
             raise DomainError("sigma must be positive")
-
-    def check_support(self, x):
-        pass
 
     def residuals(self, theta, xy):
         """(y - beta0 - beta1 x) / sigma; a (B, 3) batch gives (B, n) rows."""

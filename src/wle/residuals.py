@@ -125,13 +125,20 @@ class EmpiricalFunctions:
         ])
 
 
-def _tail_ratio(tail, model_tail):
-    """tail / model_tail - 1, with +inf wherever that is not finite."""
+def _tail_ratio(tail, T):
+    """tail / T - 1, with +inf wherever that is not finite."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tau = np.asarray(tail / model_tail)
+        tau = np.asarray(tail / T)
     tau -= 1.0
     np.copyto(tau, np.inf, where=~np.isfinite(tau))
     return tau
+
+
+def model_tail(F, S, p):
+    """The branch rule, upper = F >= 1 - p (at p = 1/2, F = 1/2 is upper),
+    and the model tail T that each point reads: S if upper, else F."""
+    upper = F >= 1.0 - p
+    return upper, np.where(upper, S, F)
 
 
 def tau_branch(Fn, Sn, F, S, p):
@@ -147,9 +154,8 @@ def tau_branch(Fn, Sn, F, S, p):
     the one division."""
     F = np.asarray(F, dtype=float)
     S = np.asarray(S, dtype=float)
-    # F = p = 1 - p (p = 1/2) takes the upper branch
-    upper = F >= 1.0 - p
-    tau = _tail_ratio(np.where(upper, Sn, Fn), np.where(upper, S, F))
+    upper, T = model_tail(F, S, p)
+    tau = _tail_ratio(np.where(upper, Sn, Fn), T)
     if p < 0.5:  # the central region; at p = 1/2 it is empty
         np.copyto(tau, 0.0, where=(F > p) & ~upper)
     return tau

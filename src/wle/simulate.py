@@ -88,20 +88,11 @@ class SimulationReport:
     failures: np.ndarray    # replications without any converged root
 
     def to_dict(self):
-        return {
-            "version": REPORT_VERSION,
-            "scheme": self.scheme,
-            "n": self.n,
-            "reps": self.reps,
-            "seed": self.seed,
-            "eps_grid": list(self.eps_grid),
-            "estimators": list(self.estimators),
-            "mse": self.mse.tolist(),
-            "mc_se": self.mc_se.tolist(),
-            "var": self.var.tolist(),
-            "mean_root_count": self.mean_root_count.tolist(),
-            "failures": self.failures.tolist(),
-        }
+        # every field in its JSON form, a list for arrays and tuples
+        plain = {np.ndarray: np.ndarray.tolist, tuple: list}
+        return {"version": REPORT_VERSION, **{
+            f.name: plain.get(f.type, f.type)(getattr(self, f.name))
+            for f in dataclasses.fields(self)}}
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -110,13 +101,10 @@ class SimulationReport:
     def from_dict(cls, d):
         if d.get("version") != REPORT_VERSION:
             raise ValueError(f"unsupported report version {d.get('version')}")
-        return cls(scheme=d["scheme"], n=d["n"], reps=d["reps"], seed=d["seed"],
-                   eps_grid=tuple(d["eps_grid"]),
-                   estimators=tuple(d["estimators"]),
-                   mse=np.asarray(d["mse"]), mc_se=np.asarray(d["mc_se"]),
-                   var=np.asarray(d["var"]),
-                   mean_root_count=np.asarray(d["mean_root_count"]),
-                   failures=np.asarray(d["failures"], dtype=int))
+        # each field rebuilt by its type; JSON integers read back as an
+        # integer array, so failures stay int
+        return cls(**{f.name: {np.ndarray: np.asarray}.get(f.type, f.type)(
+            d[f.name]) for f in dataclasses.fields(cls)})
 
     @classmethod
     def from_json(cls, text):

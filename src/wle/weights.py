@@ -171,14 +171,6 @@ class ScaledFKernel(WeightFunction):
         return (2.0 - self.d1) * (self.d2 + 2.0) / (2.0 * (self.d1 + self.d2))
 
 
-#: Default tuning parameters recommended for routine use.
-DEFAULT_SPECS = {
-    "gamma": GammaKernel(alpha=1.01),
-    "weibull": WeibullKernel(k=1.01),
-    "gev": GevKernel(xi=10.0),
-    "scaled_f": ScaledFKernel(d1=2.1, d2=1.0),
-}
-
 KERNELS = {
     "gamma": GammaKernel,
     "weibull": WeibullKernel,
@@ -186,3 +178,5 @@ KERNELS = {
     "scaled_f": ScaledFKernel,
 }
 
+#: The kernels at their field defaults, recommended for routine use.
+DEFAULT_SPECS = {name: kernel() for name, kernel in KERNELS.items()}

@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from wle.cli import _configs, build_parser, main
+from wle.cli import _configs, _weight_spec, build_parser, main
 from wle.solver import SolverConfig
+from wle.weights import DEFAULT_SPECS, KERNELS
 
 
 def _run(capsys, *argv):
@@ -180,3 +182,16 @@ def test_invalid_values_are_usage_errors(capsys, argv):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("wle: error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fit", "roots", "diagnose"])
+def test_kernel_flags_carry_the_field_defaults(command):
+    # every tuning field of every kernel is a flag defaulting to the
+    # field's default, so no flag gives the kernel's default spec
+    args = build_parser().parse_args([command, "--model", "normal",
+                                      "--data", "newcomb"])
+    for name, kernel in KERNELS.items():
+        for f in fields(kernel):
+            assert getattr(args, f.name) == f.default
+        args.weight_fn = name
+        assert _weight_spec(args) == DEFAULT_SPECS[name]

@@ -7,7 +7,7 @@ from wle.diagnostics import (ContaminationSpec, ModelDistribution,
                              fisher_consistency_check, influence_first_order,
                              influence_report, influence_second_order,
                              mixture_root_scan, population_weighted_score)
-from wle.families import get_family
+from wle.families import DomainError, get_family
 from wle.residuals import ResidualConfig
 from wle.weights import GammaKernel, GevKernel, ScaledFKernel, WeibullKernel
 
@@ -128,18 +128,45 @@ def test_contamination_spec_validation():
     fam = get_family("normal_location")
     base = ModelDistribution(fam, (0.0,))
     with pytest.raises(ValueError):
-        ContaminationSpec(base=base, eps=1.5, y=3.0)
-    with pytest.raises(ValueError):
-        ContaminationSpec(base=base, eps=0.1)
-    with pytest.raises(ValueError):
-        ContaminationSpec(base=base, eps=0.1, y=3.0,
+        ContaminationSpec(base=base, eps=1.5,
                           contaminant=ModelDistribution(fam, (1.0,)))
-    # a point mass has no smooth distribution to mix
-    atom = ContaminationSpec(base=base, eps=0.1, y=3.0)
-    with pytest.raises(ValueError):
-        atom.cdf_survival(np.zeros(3))
-    with pytest.raises(ValueError):
-        atom.pdf(np.zeros(3))
+
+
+INFLUENCE_ORDERS = [influence_first_order, influence_second_order,
+                    influence_report]
+
+
+@pytest.mark.parametrize("influence", INFLUENCE_ORDERS,
+                         ids=lambda f: f.__name__)
+def test_influence_rejects_y_outside_the_support(influence):
+    # an exponential observation is nonnegative
+    with pytest.raises(DomainError):
+        influence(get_family("exponential"), (1.0,), GammaKernel(2.0), -1.0)
+
+
+@pytest.mark.parametrize("influence", INFLUENCE_ORDERS,
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name, y", [("exponential", 0.0),
+                                     ("normal_location", 38.0),
+                                     ("normal_location", -40.0),
+                                     ("normal_location", np.inf)])
+def test_influence_rejects_y_with_zero_model_tail(influence, name, y):
+    # the residual at y divides by the model tail there: F(0) = 0 for the
+    # exponential, and ndtr underflows to 0 past |z| = 37.7
+    fam = get_family(name)
+    with pytest.raises(ValueError, match="model tail"):
+        influence(fam, (1.0,) if name == "exponential" else (0.0,),
+                  GammaKernel(2.0), y)
+
+
+def test_influence_near_the_support_edge_unchanged():
+    # a y just inside the support keeps its values: the MLE influence
+    # 1 - y at the model, and the second-order term as before the checks
+    fam = get_family("exponential")
+    t1 = influence_first_order(fam, (1.0,), GammaKernel(2.0), 1e-3)
+    assert t1[0] == pytest.approx(0.999, abs=1e-5)
+    t2 = influence_second_order(fam, (1.0,), GammaKernel(2.0), 1e-3)
+    assert t2 == pytest.approx(-2.5299043393020075, rel=1e-12)
 
 
 def test_population_score_is_odd_in_symmetric_case():

@@ -10,8 +10,8 @@ from scipy.special import ndtr
 
 from wle.datasets import load_dataset
 from wle.families import get_family
-from wle.residuals import (EmpiricalFunctions, ResidualConfig, tau_branch,
-                           tau_for_sample)
+from wle.residuals import (EmpiricalFunctions, ResidualConfig, model_tail,
+                           tau_branch, tau_for_sample)
 from wle.solver import SolverConfig, solve_from
 from wle.weights import GammaKernel, WeibullKernel
 
@@ -357,3 +357,14 @@ def test_tau_branch_matches_two_division_reference(p):
         for i in range(F.size):
             _assert_bits(tau_branch(Fn[i], Sn[i], F[i], S[i], p),
                          _tau_branch_reference(Fn[i], Sn[i], F[i], S[i], p))
+
+
+def test_model_tail_branch_boundaries():
+    # F = 1/2 reads the upper tail at p = 1/2; at p = 0.2 the two branch
+    # boundaries F = p and F = 1 - p read the lower and the upper tail
+    F = np.array([0.5, 0.2, 0.8])
+    S = np.array([0.6, 0.9, 0.3])
+    upper, T = model_tail(F[:1], S[:1], 0.5)
+    assert upper.tolist() == [True] and T.tolist() == [0.6]
+    upper, T = model_tail(F[1:], S[1:], 0.2)
+    assert upper.tolist() == [False, True] and T.tolist() == [0.2, 0.3]

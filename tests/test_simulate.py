@@ -100,3 +100,16 @@ def test_scheme_samplers_hit_their_targets():
         assert np.var(xc) > 2 * np.var(xb) or abs(
             np.mean(xc) - np.mean(xb)) > 2
         del target
+
+
+def test_json_round_trip_nan_cell_and_failures():
+    # a cell without any converged root is NaN and its failures count
+    # stays an integer through JSON
+    rep = run_simulation(_small_plan(reps=2))
+    rep.mse[1, 2] = rep.mc_se[1, 2] = rep.var[1, 2] = np.nan
+    rep.failures[1, 2] = 2
+    text = rep.to_json()
+    back = SimulationReport.from_json(text)
+    assert back.failures.dtype.kind == "i"
+    assert back.failures[1, 2] == 2 and np.isnan(back.mse[1, 2])
+    assert back.to_json() == text
