@@ -16,6 +16,8 @@ from scipy.special import ndtr
 
 from .families import NormalErrors
 
+QUADRANT_BLOCK = 1 << 16  # sample comparisons per block of quadrant points
+
 
 @dataclass(frozen=True)
 class ResidualConfig:
@@ -71,6 +73,8 @@ class EmpiricalFunctions:
         x.flags.writeable = False
         self.sample = x
         self.n = len(x)
+        if self.n < 1:
+            raise ValueError("need at least one observation")
         if bivariate:
             self._counted = self.quadrants(x)
         else:
@@ -78,8 +82,6 @@ class EmpiricalFunctions:
             self._sorted = x[order]
             self._ranked = _rank_functions(order)
             self._counted = self.cdf(x), self.survival(x)
-        if self.n < 1:
-            raise ValueError("need at least one observation")
 
     def at_sample(self, x, discrete=False):
         """F_n and S_n at the sample points, in sample order.
@@ -109,20 +111,22 @@ class EmpiricalFunctions:
         return (self.n - np.searchsorted(self._sorted, x, side="left")) / self.n
 
     def quadrants(self, xy):
-        """Empirical quadrant masses (ll, lg, gl, gg) at each point, (n, 4)."""
+        """Empirical quadrant masses (ll, lg, gl, gg) at each point, (n, 4).
+
+        The points are counted in blocks of about QUADRANT_BLOCK
+        comparisons, so the memory taken grows as n, not as n^2."""
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
         X, Y = self.sample[:, 0], self.sample[:, 1]
-        lx = X[None, :] <= xy[:, 0:1]
-        gx = X[None, :] >= xy[:, 0:1]
-        ly = Y[None, :] <= xy[:, 1:2]
-        gy = Y[None, :] >= xy[:, 1:2]
-        n = self.n
-        return np.column_stack([
-            (lx & ly).sum(axis=1) / n,
-            (lx & gy).sum(axis=1) / n,
-            (gx & ly).sum(axis=1) / n,
-            (gx & gy).sum(axis=1) / n,
-        ])
+        counts = np.empty((len(xy), 4), dtype=np.intp)
+        step = max(1, QUADRANT_BLOCK // self.n)
+        for i in range(0, len(xy), step):
+            px, py = xy[i:i + step, 0:1], xy[i:i + step, 1:2]
+            lx, gx = X <= px, X >= px
+            ly, gy = Y <= py, Y >= py
+            for j, (a, b) in enumerate(((lx, ly), (lx, gy), (gx, ly),
+                                        (gx, gy))):
+                counts[i:i + step, j] = np.count_nonzero(a & b, axis=1)
+        return counts / self.n
 
 
 def _tail_ratio(tail, T):

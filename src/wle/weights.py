@@ -34,11 +34,13 @@ class WeightFunction:
         """H(tau) in [0, 1]; tau <= -1 (and tau = inf) map to 0."""
         tau, scalar = _prep(tau)
         # the kernel runs silently on every entry; those outside
-        # -1 < tau < inf, NaN included, are then set to 0
+        # -1 < tau < inf, NaN included, are then set to 0. exp is never
+        # negative, so only the rounding above 1 needs clipping
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.exp(self._log_weight(tau))
+            out = self._log_weight(tau)
+            np.exp(out, out=out)
         out[~((tau > -1.0) & (tau < np.inf))] = 0.0
-        return _finish(np.clip(out, 0.0, 1.0), scalar)
+        return _finish(np.minimum(out, 1.0, out=out), scalar)
 
     def weight_derivative(self, tau):
         """H'(tau) for tau > -1 (analytic log-derivative times H)."""

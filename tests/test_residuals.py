@@ -1,5 +1,6 @@
 """Empirical-function conventions and tail-residual branch logic."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.special import ndtr
 
+from wle import residuals
 from wle.datasets import load_dataset
 from wle.families import get_family
 from wle.residuals import (EmpiricalFunctions, ResidualConfig, model_tail,
@@ -143,6 +145,40 @@ def test_empirical_quadrants_sum():
     # inclusive conventions, so each row sums to at least 1
     assert np.all(q.sum(axis=1) >= 1.0 - 1e-12)
     assert np.all(q >= 1.0 / 40 - 1e-12)  # the point itself is in all four
+
+
+def _direct_quadrants(sample, xy):
+    X, Y = sample[:, 0], sample[:, 1]
+    return np.array([[np.sum((X <= a) & (Y <= b)), np.sum((X <= a) & (Y >= b)),
+                      np.sum((X >= a) & (Y <= b)), np.sum((X >= a) & (Y >= b))]
+                     for a, b in xy]) / len(sample)
+
+
+@pytest.mark.parametrize("budget", [1, 7 * 60 + 5, 1 << 16])
+def test_blocked_quadrants_match_direct_count(budget, monkeypatch):
+    # one point, 7 points (an uneven last block) or all 60 per block;
+    # the rounded sample ties in both coordinates
+    rng = np.random.default_rng(5)
+    xy = np.round(rng.normal(size=(60, 2)), 1)
+    assert len(np.unique(xy[:, 0])) < 60 and len(np.unique(xy[:, 1])) < 60
+    others = np.vstack([np.round(rng.normal(size=(13, 2)), 1), xy[:4]])
+    monkeypatch.setattr(residuals, "QUADRANT_BLOCK", budget)
+    emp = EmpiricalFunctions(xy, bivariate=True)
+    _assert_bits(emp.at_sample(emp.sample), _direct_quadrants(xy, xy))
+    _assert_bits(emp.quadrants(others), _direct_quadrants(xy, others))
+
+
+def test_quadrants_memory_peak():
+    # traced allocations of the quadrant counts at n = 6000: 180.3 MB for
+    # four n x n comparison arrays, 0.8 MB in blocks of points
+    xy = np.random.default_rng(0).normal(size=(6000, 2))
+    tracemalloc.start()
+    try:
+        EmpiricalFunctions(xy, bivariate=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_tau_zero_when_model_matches_empirical():

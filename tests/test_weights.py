@@ -44,6 +44,40 @@ def test_edge_residuals_give_zero_without_warnings(spec):
     assert array.tobytes() == single.tobytes()
 
 
+def _weight_reference(spec, tau):
+    """The kernel written with a fresh exp and a clip to [0, 1]."""
+    tau = np.asarray(tau, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.exp(spec._log_weight(tau))
+    out[~((tau > -1.0) & (tau < np.inf))] = 0.0
+    return np.clip(out, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+def test_in_place_kernel_matches_reference_bit_for_bit(spec):
+    # the edge values, the domain endpoint approached from inside, tiny
+    # and huge residuals of both signs, and a (B, n) batch
+    rng = np.random.default_rng(11)
+    tau = np.concatenate([
+        EDGE_TAUS, TAUS, -1.0 + np.logspace(-300, 0, 61),
+        np.logspace(-300, 300, 61), -np.logspace(-300, -1e-9, 61),
+        np.nextafter(-1.0, 0.0) * np.ones(1), rng.exponential(2.0, 136) - 1.0,
+    ]).reshape(12, -1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spec.weight(tau)
+    assert got.tobytes() == _weight_reference(spec, tau).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau=hst.lists(hst.floats(allow_nan=True, allow_infinity=True),
+                     min_size=1, max_size=8),
+       spec=hst.sampled_from(ALL_SPECS))
+def test_property_in_place_kernel_matches_reference(tau, spec):
+    assert (spec.weight(np.array(tau)).tobytes()
+            == _weight_reference(spec, np.array(tau)).tobytes())
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_range_and_mode(spec):
     w = spec.weight(TAUS)
