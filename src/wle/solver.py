@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import DegenerateFitError, DomainError
-from .residuals import EmpiricalFunctions, tau_for_sample
+from .residuals import BLOCK_ELEMENTS, EmpiricalFunctions, tau_for_sample
 
 SCORE_RESIDUAL_TOL = 1e-6  # converged roots satisfy ||sum w u||_inf < tol * n
 ROOT_TOL = 1e-4            # relative sup-norm within which roots are one
@@ -24,10 +24,6 @@ MIN_WEIGHT_SHARE = 0.25    # share of the combined root weight the second
                            # root needs to win selection
 STALL_STEP = 64 * np.finfo(float).eps  # relative steps this small are
                                        # rounding noise at a fixed point
-BLOCK_ELEMENTS = 1 << 16   # residual and weight elements per row block:
-                           # each float64 temporary is 512 KiB, so the
-                           # block's elementwise passes run in a 2 MiB L2
-                           # (6 rows at n = 10 000; 6-13 rows timed best)
 
 
 @dataclass(frozen=True)
@@ -124,21 +120,16 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
                                        bivariate=family.kind == "bivariate")
         data = empirical.sample
 
-    def block_weights(th):
-        return weight_spec.weight(tau_for_sample(
-            residual_config, family, th, data, empirical))
-
     # every residual and kernel acts row by row (regression ranks each row,
     # bivariate reads the quadrants per element), so blocks of rows give
     # the whole batch's weights bit for bit
     step = max(1, BLOCK_ELEMENTS // n)
 
     def weights(th):
-        if len(th) <= step:
-            return block_weights(th)
         out = np.empty((len(th), n))
         for i in range(0, len(th), step):
-            out[i:i + step] = block_weights(th[i:i + step])
+            out[i:i + step] = weight_spec.weight(tau_for_sample(
+                residual_config, family, th[i:i + step], data, empirical))
         return out
 
     iters = np.full(nstart, solver_config.max_iter)

@@ -162,7 +162,7 @@ def test_blocked_quadrants_match_direct_count(budget, monkeypatch):
     xy = np.round(rng.normal(size=(60, 2)), 1)
     assert len(np.unique(xy[:, 0])) < 60 and len(np.unique(xy[:, 1])) < 60
     others = np.vstack([np.round(rng.normal(size=(13, 2)), 1), xy[:4]])
-    monkeypatch.setattr(residuals, "QUADRANT_BLOCK", budget)
+    monkeypatch.setattr(residuals, "BLOCK_ELEMENTS", budget)
     emp = EmpiricalFunctions(xy, bivariate=True)
     _assert_bits(emp.at_sample(emp.sample), _direct_quadrants(xy, xy))
     _assert_bits(emp.quadrants(others), _direct_quadrants(xy, others))

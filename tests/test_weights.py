@@ -69,15 +69,6 @@ def test_in_place_kernel_matches_reference_bit_for_bit(spec):
     assert got.tobytes() == _weight_reference(spec, tau).tobytes()
 
 
-@settings(max_examples=200, deadline=None)
-@given(tau=hst.lists(hst.floats(allow_nan=True, allow_infinity=True),
-                     min_size=1, max_size=8),
-       spec=hst.sampled_from(ALL_SPECS))
-def test_property_in_place_kernel_matches_reference(tau, spec):
-    assert (spec.weight(np.array(tau)).tobytes()
-            == _weight_reference(spec, np.array(tau)).tobytes())
-
-
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_range_and_mode(spec):
     w = spec.weight(TAUS)
