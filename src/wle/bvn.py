@@ -1,23 +1,23 @@
-"""Standard bivariate normal rectangle probabilities.
+"""Standard bivariate normal quadrant probabilities.
 
-P(X <= h, Y <= k) for correlated standard normals, computed through
-Owen's T function, which gives absolute accuracy near machine precision
-across the whole (h, k, rho) range.
+P(X <= h, Y <= k) and the other three quadrants for correlated standard
+normals, through Owen's T function, which gives absolute accuracy near
+machine precision across the whole (h, k, rho) range.
 """
 
 import numpy as np
 from scipy.special import ndtr, owens_t
 
 
-def bvn_cdf(h, k, rho, quadrants=False):
-    """P(X <= h, Y <= k) for standard bivariate normals with correlation rho.
+def bvn_cdf(h, k, rho):
+    """Quadrant probabilities of standard bivariate normals with
+    correlation rho.
 
     h, k and rho broadcast against each other; every rho needs |rho| < 1
-    (NaN entries propagate). With quadrants=True the result is the tuple
-    of the four quadrant probabilities (ll, lg, gl, gg) =
-    P(X <= h, Y <= k), P(X <= h, Y >= k), P(X >= h, Y <= k),
-    P(X >= h, Y >= k). Each equals one bvn_cdf call with the signs of
-    (h, k, rho) flipped accordingly, and all four share two Owen's T
+    (NaN entries propagate). The result is the tuple of the four quadrant
+    probabilities (ll, lg, gl, gg) = P(X <= h, Y <= k), P(X <= h, Y >= k),
+    P(X >= h, Y <= k), P(X >= h, Y >= k). Each is the first with the signs
+    of (h, k, rho) flipped accordingly, and all four share two Owen's T
     evaluations: T is even in its first argument and odd in its second,
     so a sign flip only flips the sign of the T terms.
     """
@@ -47,9 +47,6 @@ def bvn_cdf(h, k, rho, quadrants=False):
         out = 0.5 * (a + b) - sign * t_h - sign * t_k - half
         return np.clip(np.where(indep, a * b, out), 0.0, 1.0)
 
-    ll = corner(ph, pk, 1.0, differ)
-    if not quadrants:
-        return ll
     qh, qk = ndtr(-h), ndtr(-k)
-    return (ll, corner(ph, qk, -1.0, same), corner(qh, pk, -1.0, same),
-            corner(qh, qk, 1.0, differ))
+    return (corner(ph, pk, 1.0, differ), corner(ph, qk, -1.0, same),
+            corner(qh, pk, -1.0, same), corner(qh, qk, 1.0, differ))

@@ -30,7 +30,8 @@ def _weight_spec(args):
     named after its fields."""
     kernel = KERNELS.get(args.weight_fn)
     if kernel is None:
-        raise SystemExit(f"unknown weight function {args.weight_fn!r}")
+        raise ValueError(f"--weight-fn {args.weight_fn}: this command "
+                         "needs a weight function")
     return kernel(**{f.name: getattr(args, f.name) for f in fields(kernel)})
 
 
@@ -40,19 +41,24 @@ def _load_columns(args):
         ds = load_dataset(args.data)
         columns, rows = ds.columns, ds.records
     else:
-        with open(args.data, newline="", encoding="utf-8") as fh:
-            raw = list(csv.reader(fh))
+        try:
+            with open(args.data, newline="", encoding="utf-8") as fh:
+                raw = list(csv.reader(fh))
+        except OSError as exc:
+            raise ValueError(f"--data {args.data}: no such dataset, and "
+                             f"the file cannot be read ({exc.strerror})")
         columns, rows = tuple(raw[0]), raw[1:]
     wanted = args.columns.split(",") if args.columns else list(columns)
     idx = []
     for name in wanted:
         if name not in columns:
-            raise SystemExit(f"column {name!r} not in {columns}")
+            raise ValueError(f"--columns: {name!r} not in {columns}")
         idx.append(columns.index(name))
     try:
         x = np.array([[float(r[j]) for j in idx] for r in rows])
     except ValueError:
-        raise SystemExit("selected columns contain non-numeric values")
+        raise ValueError("--columns: selected columns contain non-numeric "
+                         "values")
     if args.log:
         x = np.log(x)
     return x[:, 0] if x.shape[1] == 1 else x
@@ -131,6 +137,10 @@ def _cmd_diagnose(args):
         sys.stdout.write(curve_to_csv(["root"], np.asarray(roots)))
         return 0
     if args.ellipse:
+        if args.model != "bivariate_normal":
+            raise ValueError("--ellipse needs --model bivariate_normal")
+        if args.data is None:
+            raise ValueError("--ellipse needs --data")
         x = _load_columns(args)
         family, rc, sc = _configs(args)
         theta = family.mle(x)
@@ -140,7 +150,7 @@ def _cmd_diagnose(args):
         pts = ellipse_polyline(theta, coverage=args.coverage)
         sys.stdout.write(curve_to_csv(["x", "y"], pts))
         return 0
-    raise SystemExit("choose one of --bias-curve, --mixture-scan, --ellipse")
+    raise ValueError("choose one of --bias-curve, --mixture-scan, --ellipse")
 
 
 def _cmd_reproduce(args):

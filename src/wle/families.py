@@ -1,12 +1,13 @@
 """Parametric families exposing the quantities the estimating equation needs.
 
 Each family provides the log-density score, one distribution-and-survival
-function `cdf_survival` and a closed-form weighted fit (the inner step of
+function `cdf_survival`, its residual `residual` with the sample's
+`empirical` functions, and a closed-form weighted fit (the inner step of
 the reweighting iteration); the univariate families add the Fisher
 information, and the continuous ones the parameter gradients, that the
-influence analysis needs.
-The score, `cdf_survival`, the weighted fit and the weighted score take
-a batch of parameters or weights, with one row per start of a root search.
+influence analysis needs. The score, `cdf_survival`, the residual, the
+weighted fit and the weighted score take a batch of parameters or
+weights, with one row per start of a root search.
 Five families are supported: Poisson, univariate normal, exponential,
 bivariate normal and normal linear regression. The normal, the normal
 location and the regression families share `NormalErrors`: each
@@ -18,6 +19,8 @@ from scipy.special import gammaln, ndtr, pdtr, pdtrc
 from scipy.stats import chi2
 
 from .bvn import bvn_cdf
+from .residuals import (EmpiricalFunctions, _normal_tau, _rank_functions,
+                        _tail_ratio, tau_branch)
 
 
 class DomainError(ValueError):
@@ -46,6 +49,7 @@ class Family:
     kind = "univariate"  # univariate | bivariate | regression
     discrete = False
     min_subsample = 2    # smallest subsample that identifies the parameters
+    obs_shape = ()       # shape of one observation
 
     def check_params(self, theta):
         """Raise DomainError for a parameter outside the parameter space,
@@ -54,6 +58,13 @@ class Family:
     def check_support(self, x):
         """Raise DomainError for observations outside the support, which
         by default is every real value."""
+
+    def check_shape(self, x):
+        """Raise DomainError unless x holds observations of `obs_shape`."""
+        if np.ndim(x) < 1 or np.shape(x)[1:] != self.obs_shape:
+            want = "".join(f" {d}" for d in self.obs_shape)
+            raise DomainError(f"{self.name} data must have shape (n,{want}),"
+                              f" not {np.shape(x)}")
 
     def score(self, theta, x):
         """Gradient of the log-density at each observation.
@@ -69,6 +80,17 @@ class Family:
         (B, n) arrays whose row b is the value under parameter row b."""
         raise NotImplementedError
 
+    def empirical(self, x):
+        """The sample's empirical functions, built once per search."""
+        return EmpiricalFunctions(x)
+
+    def residual(self, thetas, x, empirical, p):
+        """(B, n) residuals of the sample under a (B, dim) batch, from its
+        `empirical(x)` and tail fraction p: the three-branch `tau_branch`."""
+        x = _asarray1d(x)
+        Fn, Sn = empirical.at_sample(x, self.discrete)
+        return tau_branch(Fn, Sn, *self.cdf_survival(thetas, x), p)
+
     def fisher_information(self, theta):
         raise NotImplementedError
 
@@ -83,6 +105,7 @@ class Family:
     def mle(self, x):
         """Maximum likelihood estimate (all weights one)."""
         x = _asarray1d(x)
+        self.check_shape(x)
         return self.weighted_fit(x, np.ones(len(x)))
 
     def weighted_fit(self, x, w):
@@ -132,6 +155,15 @@ class NormalErrors(Family):
     def cdf_survival(self, theta, x):
         z = self.residuals(theta, x)
         return ndtr(z), ndtr(-z)
+
+    def residual(self, thetas, x, empirical, p):
+        x = _asarray1d(x)
+        Fn, Sn = empirical.at_sample(x, self.discrete)
+        # a huge outlier over a tiny scale standardizes to +-inf: its
+        # model tail is 0 and its weight 0
+        with np.errstate(over="ignore"):
+            z = self.residuals(thetas, x)
+        return _normal_tau(Fn, Sn, z, p)
 
 
 def _weight_sums(w):
@@ -352,6 +384,7 @@ class BivariateNormal(Family):
     name = "bivariate_normal"
     kind = "bivariate"
     min_subsample = 3
+    obs_shape = (2,)
 
     def check_params(self, theta):
         _, _, s1, s2, rho = theta
@@ -388,7 +421,25 @@ class BivariateNormal(Family):
         # probability to 0: its residual is inf and its weight 0
         with np.errstate(over="ignore"):
             z1, z2, rho = self._standardize(theta, xy)
-            return bvn_cdf(z1, z2, rho, quadrants=True)
+            return bvn_cdf(z1, z2, rho)
+
+    def empirical(self, xy):
+        return EmpiricalFunctions(xy, bivariate=True)
+
+    def residual(self, thetas, xy, empirical, p):
+        """Residual from the quadrant with the smallest model probability;
+        ties at the minimum are broken in the fixed order ll, lg, gl, gg."""
+        xy = np.asarray(xy, dtype=float)
+        if xy.ndim != 2:
+            xy = xy.reshape(-1, 2)
+        model_q = self.quadrant_probabilities(thetas, xy)
+        emp_q = empirical.at_sample(xy)
+        pm, emp = model_q[0], emp_q[:, 0]
+        for j in (1, 2, 3):
+            take = model_q[j] < pm
+            pm = np.where(take, model_q[j], pm)
+            emp = np.where(take, emp_q[:, j], emp)
+        return _tail_ratio(emp, pm)
 
     def weighted_fit_batch(self, xy, w):
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
@@ -420,6 +471,7 @@ class NormalRegression(NormalErrors):
     name = "normal_regression"
     kind = "regression"
     min_subsample = 3
+    obs_shape = (2,)
 
     def check_params(self, theta):
         if not theta[2] > 0:
@@ -432,6 +484,14 @@ class NormalRegression(NormalErrors):
         with np.errstate(over="ignore"):
             return ((xy[:, 1] - t[..., 0:1] - t[..., 1:2] * xy[:, 0])
                     / t[..., 2:3])
+
+    def empirical(self, xy):
+        return None  # each row ranks its own residuals
+
+    def residual(self, thetas, xy, empirical, p):
+        z = self.residuals(thetas, xy)
+        Fn, Sn = _rank_functions(np.argsort(z, axis=-1, kind="stable"))
+        return _normal_tau(Fn, Sn, z, p)
 
     def score(self, theta, xy):
         t = np.asarray(theta, dtype=float)

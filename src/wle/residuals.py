@@ -3,18 +3,16 @@
 The residual compares the empirical distribution function with the model
 in the lower tail and the empirical survival function with the model in
 the upper tail; observations in the central region get residual zero.
-Univariate data share the one three-branch function `tau_branch`, which
-the population diagnostics use too; the normal-error families, regression
-included, read the same branches from one model tail per observation;
-bivariate data take the quadrant of smallest model probability.
+This module holds the pieces: the empirical functions, the one
+three-branch function `tau_branch`, which the population diagnostics use
+too, and the one-tail residual of the normal-error families. Each family's
+`residual` method picks the residual of its data; `tau_for_sample` calls it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
-
-from .families import NormalErrors
 
 BLOCK_ELEMENTS = 1 << 16  # elements per block of a (rows, n) evaluation: a
                           # float64 temporary is 512 KiB, so a block's
@@ -185,62 +183,17 @@ def _normal_tau(Fn, Sn, z, p):
     return _tail_ratio(np.where(upper, Sn, Fn), q)
 
 
-def _quadrant_tau(model_q, emp_q):
-    """Residual from the quadrant with the smallest model probability.
-
-    `model_q` are the four (B, n) model quadrant probabilities and `emp_q`
-    the (n, 4) empirical quadrant masses. Ties at the minimum are broken
-    in the fixed order ll, lg, gl, gg.
-    """
-    pm, emp = model_q[0], emp_q[:, 0]
-    for j in (1, 2, 3):
-        take = model_q[j] < pm
-        pm = np.where(take, model_q[j], pm)
-        emp = np.where(take, emp_q[:, j], emp)
-    return _tail_ratio(emp, pm)
-
-
 def tau_for_sample(config, family, theta, data, empirical=None):
-    """Residuals of every observation in `data` under `family` at `theta`.
+    """Residuals of every observation in `data` under `family` at `theta`,
+    from the family's `residual`.
 
     `theta` is one parameter vector, giving n residuals, or a (B, dim)
     batch, giving one row of n residuals per parameter. Model tails that
     underflow give +inf residuals, so extreme outliers simply receive
-    weight zero. F_n and S_n at the sample points are the values of
-    `EmpiricalFunctions.at_sample`: sample ranks for a continuous family
-    (regression residuals included), inclusive counts for a discrete one,
-    quadrant masses for bivariate data, where the residual comes from the
-    quadrant of smallest model probability. The branch follows
-    `family.kind`; a `NormalErrors` family reads one model tail per
-    observation from its standardized residuals. A supplied `empirical`
-    must have been built from `data`.
+    weight zero. A supplied `empirical` must be `family.empirical(data)`.
     """
     theta = np.asarray(theta, dtype=float)
-    thetas = np.atleast_2d(theta)
-    if family.kind == "regression":
-        z = family.residuals(thetas, data)
-        Fn, Sn = _rank_functions(np.argsort(z, axis=-1, kind="stable"))
-        tau = _normal_tau(Fn, Sn, z, config.p)
-    elif family.kind == "bivariate":
-        xy = np.asarray(data, dtype=float)
-        if xy.ndim != 2:
-            xy = xy.reshape(-1, 2)
-        if empirical is None:
-            empirical = EmpiricalFunctions(xy, bivariate=True)
-        tau = _quadrant_tau(family.quadrant_probabilities(thetas, xy),
-                            empirical.at_sample(xy))
-    else:
-        x = np.atleast_1d(np.asarray(data, dtype=float))
-        if empirical is None:
-            empirical = EmpiricalFunctions(x)
-        Fn, Sn = empirical.at_sample(x, family.discrete)
-        if isinstance(family, NormalErrors):
-            # a huge outlier over a tiny scale standardizes to +-inf: its
-            # model tail is 0 and its weight 0
-            with np.errstate(over="ignore"):
-                z = family.residuals(thetas, x)
-            tau = _normal_tau(Fn, Sn, z, config.p)
-        else:
-            tau = tau_branch(Fn, Sn, *family.cdf_survival(thetas, x),
-                             config.p)
+    if empirical is None:
+        empirical = family.empirical(data)
+    tau = family.residual(np.atleast_2d(theta), data, empirical, config.p)
     return tau if theta.ndim == 2 else tau[0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import DegenerateFitError, DomainError
-from .residuals import BLOCK_ELEMENTS, EmpiricalFunctions, tau_for_sample
+from .residuals import BLOCK_ELEMENTS, tau_for_sample
 
 SCORE_RESIDUAL_TOL = 1e-6  # converged roots satisfy ||sum w u||_inf < tol * n
 ROOT_TOL = 1e-4            # relative sup-norm within which roots are one
@@ -86,12 +86,14 @@ class RootSet:
 
 
 def _checked_data(family, data, residual_config):
-    """The data as floats; non-finite or out-of-support data raise, and so
-    does a residual kind other than the family's."""
+    """The data as floats; data of the wrong shape, non-finite or
+    out-of-support data raise, and so does a residual kind other than the
+    family's."""
     if residual_config.kind != family.kind:
         raise ValueError(f"residual kind {residual_config.kind!r} does not "
                          f"match the {family.kind!r} family {family.name!r}")
     data = np.asarray(data, dtype=float)
+    family.check_shape(data)
     if not np.all(np.isfinite(data)):
         raise DomainError("observations must be finite")
     family.check_support(data)
@@ -113,11 +115,9 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
     """
     thetas = np.array(theta0s, dtype=float, ndmin=2)
     nstart, n = len(thetas), len(data)
-    empirical = None
-    if family.kind != "regression":
+    empirical = family.empirical(data)
+    if empirical is not None:
         # its read-only copy of the sample passes the sample check by identity
-        empirical = EmpiricalFunctions(data,
-                                       bivariate=family.kind == "bivariate")
         data = empirical.sample
 
     # every residual and kernel acts row by row (regression ranks each row,
@@ -286,8 +286,9 @@ def bootstrap_root_search(family, data, residual_config, weight_spec,
     The full-sample MLE is always included as an extra start, so the
     MLE-like root cannot be missed by unlucky subsampling; a degenerate
     or non-finite MLE fails as a start. All starts iterate together as one
-    batch. Non-finite or out-of-support data raise DomainError, and a
-    residual kind other than the family's raises ValueError.
+    batch. Data of the wrong shape, non-finite or out-of-support data
+    raise DomainError, and a residual kind other than the family's raises
+    ValueError.
     """
     data = _checked_data(family, data, residual_config)
     n = len(data)

@@ -1,0 +1,86 @@
+"""The family chooses its residual: the residual module and the solver
+hold no switch on the family's kind or class."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from wle.families import Family
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "wle"
+
+
+def _family_classes():
+    names, todo = set(), [Family]
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    return names
+
+
+def _tree(module):
+    return ast.parse((SRC / module).read_text(encoding="utf-8"))
+
+
+def _imported(tree):
+    """Dotted names of every module and name that `tree` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            yield base
+            yield from (f"{base}.{a.name}" for a in node.names)
+
+
+def _names(node):
+    """The class names that an isinstance argument refers to."""
+    if isinstance(node, ast.Tuple):
+        return {n for elt in node.elts for n in _names(elt)}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def _is_literal(node):
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return all(_is_literal(elt) for elt in node.elts)
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def _kind_switches(tree):
+    """Lines that compare a `.kind` with a string literal. A config
+    validating its own `self.kind` is not a switch, and neither is the
+    check that a residual config's kind matches the family's."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        kinds = [o for o in operands if isinstance(o, ast.Attribute)
+                 and o.attr == "kind" and not (isinstance(o.value, ast.Name)
+                                               and o.value.id == "self")]
+        if kinds and any(_is_literal(o) for o in operands):
+            yield node.lineno
+
+
+def test_residuals_does_not_import_families():
+    imported = [name for name in _imported(_tree("residuals.py"))
+                if "families" in name.split(".")]
+    assert imported == []
+
+
+@pytest.mark.parametrize("module", ["residuals.py", "solver.py"])
+def test_no_switch_on_the_family(module):
+    tree = _tree(module)
+    assert list(_kind_switches(tree)) == []
+    families = _family_classes()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if (isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                and len(node.args) == 2):
+            assert not _names(node.args[1]) & families, node.lineno
+        # which empirical functions a sample needs is the family's choice
+        assert "bivariate" not in {k.arg for k in node.keywords}, node.lineno

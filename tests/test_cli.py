@@ -19,6 +19,16 @@ def _run(capsys, *argv):
     return code, out
 
 
+def _usage_error(capsys, argv):
+    """The one usage line that `argv` ends in, without a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.splitlines()[-1]
+
+
 def _csv_rows(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -120,8 +130,7 @@ def test_diagnose_ellipse(capsys):
 
 
 def test_diagnose_requires_a_mode(capsys):
-    with pytest.raises(SystemExit):
-        main(["diagnose"])
+    assert "--ellipse" in _usage_error(capsys, ["diagnose"])
 
 
 def test_reproduce_text_and_strict(capsys):
@@ -140,9 +149,9 @@ def test_reproduce_json(capsys):
 
 
 def test_bad_column_rejected(capsys):
-    with pytest.raises(SystemExit):
-        main(["fit", "--model", "normal", "--data", "newcomb",
-              "--columns", "nope", "--weight-fn", "none"])
+    assert "--columns" in _usage_error(
+        capsys, ["fit", "--model", "normal", "--data", "newcomb",
+                 "--columns", "nope", "--weight-fn", "none"])
 
 
 def test_log_transform(capsys):
@@ -176,12 +185,32 @@ def test_solver_defaults_come_from_solver_config(command):
 def test_invalid_values_are_usage_errors(capsys, argv):
     # a bad value or out-of-support data ends in one usage line, not a
     # traceback
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1].startswith("wle: error: ")
-    assert "Traceback" not in err
+    assert _usage_error(capsys, argv).startswith("wle: error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["diagnose", "--ellipse", "--model", "bivariate_normal"],
+     "--ellipse needs --data"),
+    (["diagnose", "--ellipse", "--data", "lubischew", "--columns",
+      "width,angle"], "--ellipse needs --model bivariate_normal"),
+    (["diagnose", "--ellipse", "--model", "normal", "--data", "newcomb"],
+     "--ellipse needs --model bivariate_normal"),
+    (["fit", "--model", "bivariate_normal", "--data", "newcomb",
+      "--weight-fn", "none"], "bivariate_normal data must have shape "
+                              "(n, 2), not (66,)"),
+    (["roots", "--model", "normal", "--data", "newcomb", "--weight-fn",
+      "none"], "--weight-fn none: this command needs a weight function"),
+], ids=["ellipse-no-data", "ellipse-no-model", "ellipse-normal-model",
+        "bivariate-one-column", "roots-without-weights"])
+def test_missing_or_mismatched_flags_are_usage_errors(capsys, argv, message):
+    assert _usage_error(capsys, argv) == f"wle: error: {message}"
+
+
+def test_unreadable_data_file_is_a_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing.csv"
+    line = _usage_error(capsys, ["fit", "--model", "normal", "--data",
+                                 str(missing)])
+    assert line.startswith(f"wle: error: --data {missing}: ")
 
 
 @pytest.mark.parametrize("command", ["fit", "roots", "diagnose"])

@@ -88,7 +88,7 @@ def test_bvn_cdf_against_scipy():
     for rho in (-0.95, -0.3, 0.0, 0.5, 0.9):
         cov = [[1.0, rho], [rho, 1.0]]
         hk = rng.uniform(-2.5, 2.5, size=(12, 2))
-        ours = bvn_cdf(hk[:, 0], hk[:, 1], rho)
+        ours = bvn_cdf(hk[:, 0], hk[:, 1], rho)[0]
         ref = np.array([mvn.cdf(p, mean=[0, 0], cov=cov) for p in hk])
         np.testing.assert_allclose(ours, ref, atol=5e-9)
 
@@ -181,9 +181,9 @@ def test_bvn_quadrants_share_two_owens_t_calls():
     k[:, 3:8] = 0.0
     rho = rng.uniform(-0.99, 0.99, (40, 1))
     rho[::4] = 0.0
-    q = bvn_cdf(h, k, rho, quadrants=True)
-    four = (bvn_cdf(h, k, rho), bvn_cdf(h, -k, -rho),
-            bvn_cdf(-h, k, -rho), bvn_cdf(-h, -k, rho))
+    q = bvn_cdf(h, k, rho)
+    four = (bvn_cdf(h, k, rho)[0], bvn_cdf(h, -k, -rho)[0],
+            bvn_cdf(-h, k, -rho)[0], bvn_cdf(-h, -k, rho)[0])
     for got, ref in zip(q, four):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
     np.testing.assert_allclose(sum(q), 1.0, atol=1e-12)

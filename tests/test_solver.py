@@ -575,6 +575,23 @@ def _search_and_start(name, data, kind="univariate", theta0=None):
                        theta0)
 
 
+@pytest.mark.parametrize("name, kind, shape, theta0", [
+    ("bivariate_normal", "bivariate", (40, 3), [0.0, 0.0, 1.0, 1.0, 0.0]),
+    ("bivariate_normal", "bivariate", (40,), [0.0, 0.0, 1.0, 1.0, 0.0]),
+    ("normal_regression", "regression", (40, 3), [0.0, 1.0, 1.0]),
+    ("normal_regression", "regression", (40,), [0.0, 1.0, 1.0]),
+    ("normal", "univariate", (20, 2), [0.0, 1.0]),
+    ("poisson", "univariate", (20, 1), [1.0]),
+])
+def test_wrong_shaped_data_is_a_domain_error(name, kind, shape, theta0):
+    # the shape of one observation is a fact of the family: (n,) for the
+    # univariate families, (n, 2) for pairs
+    data = np.abs(np.random.default_rng(0).normal(size=shape)).round()
+    _search_and_start(name, data, kind, theta0)
+    with pytest.raises(DomainError, match=r"must have shape \(n,"):
+        get_family(name).mle(data)
+
+
 _finite = hst.floats(min_value=-1e3, max_value=1e3)
 
 
