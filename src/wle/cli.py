@@ -43,10 +43,13 @@ def _load_columns(args):
     else:
         try:
             with open(args.data, newline="", encoding="utf-8") as fh:
-                raw = list(csv.reader(fh))
+                raw = [r for r in csv.reader(fh) if r]  # blank lines skipped
         except OSError as exc:
             raise ValueError(f"--data {args.data}: no such dataset, and "
                              f"the file cannot be read ({exc.strerror})")
+        if len(raw) < 2:
+            raise ValueError(f"--data {args.data}: the file has no header "
+                             "and data rows")
         columns, rows = tuple(raw[0]), raw[1:]
     wanted = args.columns.split(",") if args.columns else list(columns)
     idx = []
@@ -59,6 +62,9 @@ def _load_columns(args):
     except ValueError:
         raise ValueError("--columns: selected columns contain non-numeric "
                          "values")
+    except IndexError:
+        raise ValueError(f"--data {args.data}: a row is shorter than the "
+                         "header")
     if args.log:
         x = np.log(x)
     return x[:, 0] if x.shape[1] == 1 else x

@@ -50,10 +50,21 @@ class Family:
     discrete = False
     min_subsample = 2    # smallest subsample that identifies the parameters
     obs_shape = ()       # shape of one observation
+    positive = ()        # coordinates of theta that must be > 0
+
+    def in_space(self, thetas):
+        """Which rows of a (B, dim) batch lie in the parameter space: finite,
+        with the `positive` coordinates > 0."""
+        ok = np.isfinite(thetas).all(axis=1)
+        for j in self.positive:
+            ok &= thetas[:, j] > 0
+        return ok
 
     def check_params(self, theta):
-        """Raise DomainError for a parameter outside the parameter space,
-        which by default is every real vector."""
+        """Raise DomainError for a parameter outside the parameter space."""
+        if not self.in_space(np.reshape(theta, (1, -1)).astype(float))[0]:
+            raise DomainError(f"{self.name} parameter {theta} lies outside "
+                              "the parameter space")
 
     def check_support(self, x):
         """Raise DomainError for observations outside the support, which
@@ -105,15 +116,16 @@ class Family:
     def mle(self, x):
         """Maximum likelihood estimate (all weights one)."""
         x = _asarray1d(x)
-        self.check_shape(x)
         return self.weighted_fit(x, np.ones(len(x)))
 
     def weighted_fit(self, x, w):
         """Solve sum_i w_i * u_theta(x_i) = 0 for frozen weights.
 
-        The batch of one; a degenerate or non-finite fit raises."""
-        theta = self.weighted_fit_batch(_asarray1d(x),
-                                        np.asarray(w, dtype=float)[None, :])
+        The batch of one; data of the wrong shape and a degenerate or
+        non-finite fit raise."""
+        x = _asarray1d(x)
+        self.check_shape(x)
+        theta = self.weighted_fit_batch(x, np.asarray(w, dtype=float)[None, :])
         if not np.all(np.isfinite(theta)):
             raise DegenerateFitError("weighted fit is degenerate (weight "
                                      "mass, spread or design collapsed)")
@@ -175,10 +187,7 @@ def _weight_sums(w):
 class Poisson(Family):
     name = "poisson"
     discrete = True
-
-    def check_params(self, theta):
-        if not np.all(np.asarray(theta) > 0):
-            raise DomainError("Poisson rate must be positive")
+    positive = (0,)
 
     def check_support(self, x):
         x = _asarray1d(x)
@@ -222,10 +231,7 @@ class Normal(NormalErrors):
     """Univariate normal parametrized by (mu, sigma^2)."""
 
     name = "normal"
-
-    def check_params(self, theta):
-        if not np.asarray(theta)[1] > 0:
-            raise DomainError("sigma^2 must be positive")
+    positive = (1,)
 
     def pdf(self, theta, x):
         z = self.residuals(theta, x)
@@ -288,10 +294,7 @@ class Normal(NormalErrors):
 
 class Exponential(Family):
     name = "exponential"
-
-    def check_params(self, theta):
-        if not np.all(np.asarray(theta) > 0):
-            raise DomainError("rate must be positive")
+    positive = (0,)
 
     def check_support(self, x):
         if np.any(_asarray1d(x) < 0):
@@ -385,11 +388,10 @@ class BivariateNormal(Family):
     kind = "bivariate"
     min_subsample = 3
     obs_shape = (2,)
+    positive = (2, 3)
 
-    def check_params(self, theta):
-        _, _, s1, s2, rho = theta
-        if s1 <= 0 or s2 <= 0 or not abs(rho) < 1:
-            raise DomainError("need sigma^2 > 0 and |rho| < 1")
+    def in_space(self, thetas):
+        return super().in_space(thetas) & (np.abs(thetas[:, 4]) < 1)
 
     def _standardize(self, theta, xy):
         """Standardized coordinates (z1, z2) and rho; a (B, 5) batch gives
@@ -472,10 +474,7 @@ class NormalRegression(NormalErrors):
     kind = "regression"
     min_subsample = 3
     obs_shape = (2,)
-
-    def check_params(self, theta):
-        if not theta[2] > 0:
-            raise DomainError("sigma must be positive")
+    positive = (2,)
 
     def residuals(self, theta, xy):
         """(y - beta0 - beta1 x) / sigma; a (B, 3) batch gives (B, n) rows."""

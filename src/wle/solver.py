@@ -3,10 +3,11 @@
 The estimating equation sum_i w_i(theta) u_theta(X_i) = 0 is solved by
 iteratively reweighted closed-form estimation: freeze the weights at the
 current parameter, solve the weighted likelihood equation in closed form,
-repeat. Multiple roots are enumerated by restarting from MLEs of small
-bootstrap subsamples, deduplicated, and ranked by total weight. Every
-start of a search iterates as one row of a single batch, for every
-family; a single start is the batch of one.
+repeat, with each step extrapolated from the last two (safeguarded
+depth-one Anderson acceleration). Multiple roots are enumerated by
+restarting from MLEs of small bootstrap subsamples, deduplicated, and
+ranked by total weight. Every start of a search iterates as one row of a
+single batch, for every family; a single start is the batch of one.
 """
 
 import functools
@@ -24,13 +25,13 @@ MIN_WEIGHT_SHARE = 0.25    # share of the combined root weight the second
                            # root needs to win selection
 STALL_STEP = 64 * np.finfo(float).eps  # relative steps this small are
                                        # rounding noise at a fixed point
+_TINY = np.finfo(float).tiny  # a zero df gives gamma 0, the plain step
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-8              # relative parameter change
-    max_iter: int = 1000           # per start; one whose step shrinks by
-                                   # 1.4% per iteration certifies after ~730
+    max_iter: int = 500            # per start
     bootstrap_b: int = 50          # number of bootstrap restarts
     bootstrap_m: int = 3           # bootstrap subsample size
     eligibility_share: float = 0.0 # roots below this share of n are kept in
@@ -104,10 +105,11 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
                  theta0s):
     """Reweighted fixed-point iteration from a (B, dim) batch of starts.
 
-    Each row steps theta <- weighted_fit(data, w(theta)). A row has
-    converged once its relative step is below `tol` and its weighted score
-    is solved, ||sum_i w_i u_theta(X_i)||_inf < SCORE_RESIDUAL_TOL * n
-    (ill-scaled parameters need extra iterations after the step is small);
+    Each row steps theta <- weighted_fit(data, w(theta)), extrapolated by
+    Anderson(1) while its step shrinks. A row has converged once its
+    relative plain step is below `tol` and its weighted score is solved,
+    ||sum_i w_i u_theta(X_i)||_inf < SCORE_RESIDUAL_TOL * n (ill-scaled
+    parameters need extra iterations after the step is small);
     it has stalled at a numerical fixed point when its relative step is at
     most STALL_STEP without a solved score. Returns a list of Root-or-None
     aligned with theta0s: non-convergence is flagged, a non-finite start
@@ -120,9 +122,9 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
         # its read-only copy of the sample passes the sample check by identity
         data = empirical.sample
 
-    # every residual and kernel acts row by row (regression ranks each row,
-    # bivariate reads the quadrants per element), so blocks of rows give
-    # the whole batch's weights bit for bit
+    # every residual, kernel and score acts row by row (regression ranks
+    # each row, bivariate reads the quadrants per element), so blocks of
+    # rows give the whole batch's weights and certificates bit for bit
     step = max(1, BLOCK_ELEMENTS // n)
 
     def weights(th):
@@ -132,46 +134,68 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
                 residual_config, family, th[i:i + step], data, empirical))
         return out
 
+    def score_residuals(th, w):  # ||sum_i w_i u_theta(X_i)||_inf per row
+        out = np.empty(len(th))
+        for i in range(0, len(th), step):
+            out[i:i + step] = np.max(np.abs(family.weighted_score_batch(
+                th[i:i + step], data, w[i:i + step])), axis=1)
+        return out
+
     iters = np.full(nstart, solver_config.max_iter)
     conv = np.zeros(nstart, dtype=bool)
     alive = np.all(np.isfinite(thetas), axis=1)
     resid = np.empty(nstart)
     W = [None] * nstart             # weights at the final theta of each row
-    active = np.flatnonzero(alive)  # rows still iterating
-    w = weights(thetas[active])     # their weights at their current theta
+    active = np.flatnonzero(alive)  # rows still iterating, and for each:
+    x = thetas[active]              # its current point
+    w = weights(x)                  # its weights there
+    pf = pg = np.zeros_like(x)      # its last plain step f and fit g
+    pdelta = np.full(active.size, np.nan)  # its last relative step (NaN: none)
     for it in range(1, solver_config.max_iter + 1):
-        new = family.weighted_fit_batch(data, w)
-        ok = np.all(np.isfinite(new), axis=1)
+        g = family.weighted_fit_batch(data, w)
+        ok = np.all(np.isfinite(g), axis=1)
         if not np.all(ok):
             alive[active[~ok]] = False
-            active, new = active[ok], new[ok]
-        old = thetas[active]
-        delta = (np.max(np.abs(new - old), axis=1)
-                 / (1.0 + np.max(np.abs(old), axis=1)))
-        thetas[active] = new
-        w = weights(new)
+            active, x, g, pf, pg, pdelta = (
+                a[ok] for a in (active, x, g, pf, pg, pdelta))
+        f = g - x
+        scale = 1.0 + np.max(np.abs(x), axis=1)
+        delta = np.max(np.abs(f), axis=1) / scale
+        # Anderson(1): step to g - gamma (g - g_prev), gamma = (df . f) /
+        # (df . df), one df over the row's scale against overflow. A row
+        # with no history, a near one, one whose step grew (its history
+        # restarts there) and one extrapolated out of the space step to g.
+        df = f - pf
+        q = df / scale[:, None]
+        gamma = np.vecdot(q, f) / (np.vecdot(q, df) + _TINY)
+        x = g - gamma[:, None] * (g - pg)
+        take = (delta <= pdelta) & (delta >= solver_config.tol)
+        x = np.where((take & family.in_space(x))[:, None], x, g)
+        pf, pg, pdelta = f, g, delta
+        w = weights(x)
         near = np.flatnonzero(delta < solver_config.tol)
         if near.size:
-            r = np.max(np.abs(family.weighted_score_batch(
-                new[near], data, w[near])), axis=1)
+            r = score_residuals(g[near], w[near])
             resid[active[near]] = r
             solved = r < SCORE_RESIDUAL_TOL * n
             conv[active[near[solved]]] = True
             stop = near[solved | (delta[near] <= STALL_STEP)]
             if stop.size:
                 iters[active[stop]] = it
+                thetas[active[stop]] = x[stop]
                 for i, wi in zip(active[stop], w[stop]):
                     W[i] = wi
                 keep = np.ones(active.size, dtype=bool)
                 keep[stop] = False
-                active, w = active[keep], w[keep]
+                active, x, w, pf, pg, pdelta = (
+                    a[keep] for a in (active, x, w, pf, pg, pdelta))
         if not active.size:
             break
     if active.size:  # out of iterations
+        thetas[active] = x
         for i, wi in zip(active, w):
             W[i] = wi
-        resid[active] = np.max(np.abs(family.weighted_score_batch(
-            thetas[active], data, w)), axis=1)
+        resid[active] = score_residuals(x, w)
     return [Root(theta=thetas[i], weights=W[i], weight_sum=float(W[i].sum()),
                  iterations=int(iters[i]), converged=bool(conv[i]),
                  score_residual=float(resid[i])) if alive[i] else None

@@ -213,6 +213,20 @@ def test_unreadable_data_file_is_a_usage_error(capsys, tmp_path):
     assert line.startswith(f"wle: error: --data {missing}: ")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "the file has no header and data rows"),
+    ("a,b\n\n", "the file has no header and data rows"),
+    ("a,b\n1,2\n3\n", "a row is shorter than the header")],
+    ids=["empty", "header-only", "short-row"])
+def test_malformed_data_file_is_a_usage_error(capsys, tmp_path, text,
+                                              message):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    line = _usage_error(capsys, ["fit", "--model", "normal", "--data",
+                                 str(path), "--weight-fn", "none"])
+    assert line == f"wle: error: --data {path}: {message}"
+
+
 @pytest.mark.parametrize("command", ["fit", "roots", "diagnose"])
 def test_kernel_flags_carry_the_field_defaults(command):
     # every tuning field of every kernel is a flag defaulting to the

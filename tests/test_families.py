@@ -22,6 +22,29 @@ def test_registry():
         get_family("cauchy")
 
 
+@pytest.mark.parametrize("name, inside, outside", [
+    ("poisson", [2.5], [[0.0], [-1.0], [np.inf]]),
+    ("exponential", [0.5], [[0.0], [np.nan]]),
+    ("normal", [-1.0, 2.0], [[0.0, 0.0], [0.0, -1.0], [np.inf, 1.0]]),
+    ("normal_location", [-3.0], [[np.nan], [-np.inf]]),
+    ("bivariate_normal", [0.0, 1.0, 2.0, 3.0, -0.5],
+     [[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, -1.0, 0.0],
+      [0.0, 0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0, -1.5],
+      [0.0, np.nan, 1.0, 1.0, 0.0]]),
+    ("normal_regression", [1.0, -2.0, 0.5],
+     [[1.0, 0.0, 0.0], [1.0, 0.0, -1.0], [1.0, np.inf, 1.0]])])
+def test_parameter_space_is_one_predicate(name, inside, outside):
+    # the batch predicate the solver's extrapolation reads, and the check
+    # that raises from it
+    fam = get_family(name)
+    mask = fam.in_space(np.array([inside] + outside))
+    assert mask.tolist() == [True] + [False] * len(outside)
+    fam.check_params(inside)
+    for theta in outside:
+        with pytest.raises(DomainError, match="outside the parameter space"):
+            fam.check_params(theta)
+
+
 def test_poisson_closed_forms():
     fam = get_family("poisson")
     theta = np.array([2.5])

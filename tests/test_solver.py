@@ -13,6 +13,7 @@ from wle import solver
 from wle.datasets import load_dataset
 from wle.families import DegenerateFitError, DomainError, get_family
 from wle.residuals import ResidualConfig, tau_for_sample
+from wle.simulate import SCHEMES, SimulationPlan, _draw_sample, run_simulation
 from wle.solver import (ROOT_TOL, Root, SCORE_RESIDUAL_TOL, SolverConfig,
                         _choose_index, _solve_batch, _subsample_indices,
                         _subsample_starts, bootstrap_root_search,
@@ -236,6 +237,27 @@ def test_location_scale_equivariance():
         assert v[1] == pytest.approx(b * b * u[1], rel=1e-8)
 
 
+@pytest.mark.parametrize("name, c", [("exponential", 1e-300),
+                                     ("normal", 1e150)])
+def test_huge_parameters_extrapolate_without_warnings(name, c):
+    # rates near 1e300 and variances near 1e301: the extrapolation's dot
+    # products of such steps would overflow unscaled; the roots scale with
+    # the data
+    fam = get_family(name)
+    x = _exponential_sample() if name == "exponential" else _mixture_sample()
+    rc, spec, cfg = ResidualConfig(), GammaKernel(1.1), SolverConfig(seed=0)
+    r1 = bootstrap_root_search(fam, x, rc, spec, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r2 = bootstrap_root_search(fam, c * x, rc, spec, cfg)
+    power = np.array([-1.0] if name == "exponential" else [1.0, 2.0])
+    t1 = sorted(r.theta[0] * c ** power[0] for r in r1.roots)
+    t2 = sorted(r.theta[0] for r in r2.roots)
+    np.testing.assert_allclose(t2, t1, rtol=1e-6)
+    np.testing.assert_allclose(r2.selected.theta,
+                               r1.selected.theta * c ** power, rtol=1e-6)
+
+
 def test_unit_weights_reproduce_mle():
     # a kernel at its likelihood limit keeps every weight at 1, so the
     # fixed point is the plain maximum-likelihood estimate
@@ -349,9 +371,10 @@ _BLOCK_CASES = {
 @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
 def test_row_blocks_give_the_whole_batch_bit_for_bit(case, rows,
                                                      monkeypatch):
-    # the residual and the kernel act row by row, so evaluating the
-    # weights in blocks of rows (one row, or 4 rows, which leaves uneven
-    # last blocks as rows stop) changes no bit of any start's iteration
+    # the residual, the kernel and the score act row by row, so evaluating
+    # the weights and the certificates in blocks of rows (one row, or 4
+    # rows, which leaves uneven last blocks as rows stop) changes no bit of
+    # any start's iteration
     name, data, kind, spec = _BLOCK_CASES[case]()
     fam, rc, cfg = get_family(name), ResidualConfig(kind=kind), \
         SolverConfig(seed=0)
@@ -425,6 +448,88 @@ def test_stuck_rows_stall_before_the_budget(case):
     stuck = [r for r in rows if not r.converged]
     assert stuck and any(r.converged for r in rows)
     assert all(r.iterations < cfg.max_iter for r in stuck)
+
+
+def _seed312_sample():
+    """perfbench mc_grid seed 312, pass 93: scale scheme, eps 0, replication
+    0, with its search's solver config."""
+    plan_seed = int(np.random.SeedSequence((312, 93, 0)).generate_state(1)[0])
+    ss = np.random.SeedSequence(plan_seed, spawn_key=(0, 0))
+    x = _draw_sample(np.random.Generator(np.random.Philox(ss)), "scale", 0.0,
+                     30)
+    return x, SolverConfig(seed=int(ss.generate_state(1, dtype=np.uint32)[0]))
+
+
+def test_no_fixed_point_sample_certifies_no_root():
+    # at gamma 1.02 the root would sit where a sample point crosses the
+    # model median and its residual jumps, so the reweighting map has no
+    # fixed point: every start hovers until the budget, and the
+    # extrapolated steps certify no false root at the jump
+    x, cfg = _seed312_sample()
+    fam, rc = get_family("normal"), ResidualConfig()
+    with pytest.raises(DegenerateFitError, match="no converged roots"):
+        bootstrap_root_search(fam, x, rc, GammaKernel(1.02), cfg)
+    starts, _ = _subsample_starts(fam, x, cfg)
+    rows = _solve_batch(fam, x, rc, GammaKernel(1.02), cfg,
+                        np.asarray([fam.mle(x)] + starts))
+    assert all(r is not None and not r.converged
+               and r.iterations <= cfg.max_iter for r in rows)
+    rs = bootstrap_root_search(fam, x, rc, GammaKernel(1.01), cfg)
+    np.testing.assert_allclose(rs.selected.theta, [0.119124, 0.694501],
+                               atol=1e-6)
+
+
+def test_simulation_iteration_budget(monkeypatch):
+    # the slowest row of each search of a small fixed grid: its p90 is 40
+    # batch iterations with the plain reweighting step and 22 with the
+    # Anderson(1) extrapolation; the bound sits halfway
+    counts = []
+
+    def counting(*args):
+        rows = _solve_batch(*args)
+        counts.append(max(r.iterations for r in rows if r is not None))
+        return rows
+
+    monkeypatch.setattr(solver, "_solve_batch", counting)
+    for scheme in SCHEMES:
+        run_simulation(SimulationPlan(scheme=scheme, reps=5, seed=11))
+    assert len(counts) == 3 * 6 * 5 * 2
+    assert np.percentile(counts, 90) < 31
+
+
+@pytest.mark.parametrize("name, data, theta0, outside", [
+    ("normal", lambda: load_dataset("newcomb").column("deviation"),
+     [26.333333333333332, 2.8888888888888893], lambda t: t[1] <= 0),
+    ("bivariate_normal",
+     lambda: _pairs("hertzsprung_russell", "log_temperature", "log_light"),
+     [4.456666666666667, 5.213333333333334, 0.005422222222222204,
+      0.05662222222222216, 0.7634873860455671],
+     lambda t: abs(t[4]) >= 1)], ids=["sigma2", "rho"])
+def test_extrapolation_outside_the_space_takes_the_plain_step(
+        name, data, theta0, outside, monkeypatch):
+    # from these starts an extrapolated point has sigma^2 <= 0 or
+    # |rho| >= 1; the row steps to its fit instead, its weights are never
+    # taken outside the space, and it goes on to certify a root
+    fam, data = get_family(name), data()
+    in_space = type(fam).in_space
+    rejected, evaluated = [], []
+
+    def spy_space(self, thetas):
+        ok = in_space(self, thetas)
+        rejected.extend(t for t in thetas[~ok] if outside(t))
+        return ok
+
+    def spy_tau(config, family, theta, *args):
+        evaluated.append(np.array(theta))
+        return tau_for_sample(config, family, theta, *args)
+
+    monkeypatch.setattr(type(fam), "in_space", spy_space)
+    monkeypatch.setattr(solver, "tau_for_sample", spy_tau)
+    root = solve_from(fam, data, ResidualConfig(kind=fam.kind),
+                      GammaKernel(1.01), SolverConfig(), theta0)
+    assert rejected and np.all(np.isfinite(rejected))
+    assert all(in_space(fam, t).all() for t in evaluated)
+    assert root.converged
 
 
 # one sample per family for the comparison of the batched starts
@@ -590,6 +695,8 @@ def test_wrong_shaped_data_is_a_domain_error(name, kind, shape, theta0):
     _search_and_start(name, data, kind, theta0)
     with pytest.raises(DomainError, match=r"must have shape \(n,"):
         get_family(name).mle(data)
+    with pytest.raises(DomainError, match=r"must have shape \(n,"):
+        get_family(name).weighted_fit(data, np.ones(len(data)))
 
 
 _finite = hst.floats(min_value=-1e3, max_value=1e3)
