@@ -1,13 +1,13 @@
 """Population-level diagnostics of the weighted-likelihood functional.
 
 Everything here works at the distribution level, with no data involved:
-Fisher-consistency quadrature checks, first- and second-order influence
-analysis under point-mass contamination, root scans of the population
-weighted score under mixture contamination, and CSV export of the
-resulting curves. The residual is the solver's `tau_branch`, with a
-smooth distribution in place of the empirical one, and the integration
-ranges and medians come from the families. All integrals use one
-adaptive rule, `QUAD`.
+Fisher-consistency quadrature checks, first-order (closed-form) and
+second-order influence analysis under point-mass contamination at the
+model, root scans of the population weighted score under mixture
+contamination, and CSV export of the resulting curves. The residual is
+the solver's `tau_branch`, with a smooth distribution in place of the
+empirical one, and the integration ranges and medians come from the
+families. All integrals use one adaptive rule, `QUAD`.
 """
 
 import csv
@@ -116,64 +116,22 @@ def _influence_point(family, theta, y):
     return float(y)
 
 
-def _tail_pieces(family, theta, x, y):
-    """F, S, the model tail T that the residual reads at the nodes x (F
-    below the median, S above), its gradient dT (grad S = -grad F), the
-    point mass at y on T's side and the (n, d) score."""
-    F, S = family.cdf_survival(theta, x)
-    upper, T = model_tail(F, S, 0.5)
-    gradF = family.cdf_gradient(theta, x)
-    dT = np.where(upper[:, None], -gradF, gradF)
-    mass = np.where(upper, y >= x, x >= y).astype(float)
-    return F, S, T, dT, mass, family.score(theta, x)
+def influence_first_order(family, theta, weight_spec, y):
+    """First-order influence T'(y) under point-mass contamination at the model.
 
-
-def influence_first_order(family, theta_g, weight_spec, y, g=None):
-    """First-order influence T'(y) = D^{-1} N under point-mass contamination.
-
-    `g` is the true distribution (anything with cdf_survival and pdf); it
-    defaults to the model at theta_g, in which case the result must equal
-    the maximum-likelihood influence I(theta)^{-1} u_theta(y). The two
-    integration regions are split at the median and the point-mass
-    indicators are handled by breaking the panels at y. A y outside the
-    support, or where the model tail is zero, raises.
+    At the model every residual is 0, where H = 1 and H' = 0, so the
+    kernel drops out and T'(y) is the maximum-likelihood influence
+    I(theta)^{-1} u_theta(y). A y outside the support, or where the model
+    tail is zero, raises.
     """
-    theta = np.asarray(theta_g, dtype=float)
+    theta = np.asarray(theta, dtype=float)
     family.check_params(theta)
     if family.discrete:
         raise NotImplementedError("influence analysis covers the continuous "
                                   "univariate families")
     y = _influence_point(family, theta, y)
-    if g is None:
-        g = ModelDistribution(family, tuple(theta))
-    a, b = family.integration_range(theta)
-    cuts = [family.median(theta), y]
-
-    def pieces(x):
-        F, S, T, dT, mass, u = _tail_pieces(family, theta, x, y)
-        tau = tau_branch(*g.cdf_survival(x), F, S, 0.5)
-        H, Hp = weight_spec.weight(tau), weight_spec.weight_derivative(tau)
-        return tau, H, Hp, T, dT, mass, u, g.pdf(x)
-
-    def d_integrand(x):
-        tau, H, Hp, T, dT, _, u, dens = pieces(x)
-        # tail term: H'(tau) u (grad T / T) (tau + 1)
-        ratio = dT / T[:, None]
-        tail = (Hp * (tau + 1.0))[:, None, None] * u[:, :, None] * ratio[:, None, :]
-        jac = -family.score_jacobian(theta, x)
-        return (tail + H[:, None, None] * jac) * dens[:, None, None]
-
-    def n_integrand(x):
-        tau, _, Hp, T, _, mass, u, dens = pieces(x)
-        return ((Hp * (mass / T) - Hp * (tau + 1.0)) * dens)[:, None] * u
-
-    D = QUAD.integrate(d_integrand, a, b, points=cuts)
-    N = QUAD.integrate(n_integrand, a, b, points=cuts)
-    ys = np.atleast_1d(y)
-    tau_y = tau_branch(*g.cdf_survival(ys), *family.cdf_survival(theta, ys),
-                       0.5)
-    N = N + weight_spec.weight(tau_y)[0] * family.score(theta, ys)[0]
-    return np.linalg.solve(D, N)
+    return np.linalg.solve(family.fisher_information(theta),
+                           family.score(theta, np.atleast_1d(y))[0])
 
 
 def influence_second_order(family, theta, weight_spec, y):
@@ -198,8 +156,14 @@ def influence_second_order(family, theta, weight_spec, y):
     t1 = u_y / info
 
     def groups(x):
-        _, _, T, dT, mass, u = _tail_pieces(family, theta, x, y)
-        r, u = dT[:, 0] / T, u[:, 0]
+        # the model tail T that the residual reads at the nodes x (F below
+        # the median, S above), its gradient (grad S = -grad F) over T, and
+        # the point mass at y on T's side
+        upper, T = model_tail(*family.cdf_survival(theta, x), 0.5)
+        gradF = family.cdf_gradient(theta, x)[:, 0]
+        r = np.where(upper, -gradF, gradF) / T
+        mass = np.where(upper, y >= x, x >= y).astype(float)
+        u = family.score(theta, x)[:, 0]
         # squared point-mass mismatch against the model tail, the
         # gradient-weighted mismatch, and the squared gradient term
         g1 = (u / T) * (mass - T) ** 2

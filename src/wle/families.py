@@ -4,10 +4,11 @@ Each family provides the log-density score, one distribution-and-survival
 function `cdf_survival`, its residual `residual` with the sample's
 `empirical` functions, and a closed-form weighted fit (the inner step of
 the reweighting iteration); the univariate families add the Fisher
-information, and the continuous ones the parameter gradients, that the
-influence analysis needs. The score, `cdf_survival`, the residual, the
-weighted fit and the weighted score take a batch of parameters or
-weights, with one row per start of a root search.
+information, and the continuous scalar-parameter ones the parameter
+gradients, that the influence analysis needs. The score,
+`cdf_survival`, the residual, the weighted fit and the weighted score
+take a batch of parameters or weights, with one row per start of a root
+search.
 Five families are supported: Poisson, univariate normal, exponential,
 bivariate normal and normal linear regression. The normal, the normal
 location and the regression families share `NormalErrors`: each
@@ -246,24 +247,6 @@ class Normal(NormalErrors):
     def residuals(self, theta, x):
         t = np.asarray(theta, dtype=float)
         return (_asarray1d(x) - t[..., 0:1]) / np.sqrt(t[..., 1:2])
-
-    def cdf_gradient(self, theta, x):
-        s2 = theta[1]
-        z = self.residuals(theta, x)
-        phi = np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
-        # dF/dmu = -phi(z)/sigma, dF/dsigma2 = -z*phi(z)/(2 sigma^2)
-        return np.column_stack([-phi / np.sqrt(s2), -z * phi / (2 * s2)])
-
-    def score_jacobian(self, theta, x):
-        mu, s2 = theta
-        x = _asarray1d(x)
-        d = x - mu
-        jac = np.empty((x.size, 2, 2))
-        jac[:, 0, 0] = -1.0 / s2
-        jac[:, 0, 1] = -d / s2**2
-        jac[:, 1, 0] = -d / s2**2
-        jac[:, 1, 1] = (s2 - 2 * d * d) / (2 * s2**3)
-        return jac
 
     def fisher_information(self, theta):
         s2 = theta[1]

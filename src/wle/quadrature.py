@@ -6,7 +6,6 @@ Integrands receive a 1-d array of abscissae and must return an array whose
 leading axis matches it; trailing axes are integrated componentwise.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -17,11 +16,10 @@ class QuadratureWarning(UserWarning):
     """Requested tolerance could not be certified."""
 
 
-@functools.cache
-def _gauss_legendre(order):
-    """Nodes and weights of the order-point rule on [-1, 1]; each order's
-    eigenvalue solve runs once."""
-    return np.polynomial.legendre.leggauss(order)
+ORDER = 21       # Gauss-Legendre points per panel
+MAX_DEPTH = 30   # bisections before a panel is accepted as it is
+# nodes and weights of the ORDER-point rule on [-1, 1]
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(ORDER)
 
 
 @dataclass(frozen=True)
@@ -29,20 +27,15 @@ class Quadrature:
     """Adaptive Gauss-Legendre rule with an absolute-error target."""
 
     tol: float = 1e-8
-    order: int = 21
-    max_depth: int = 30
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
-        if self.order < 2:
-            raise ValueError("panel order must be at least 2")
 
     def _panel(self, f, a, b):
-        nodes, weights = _gauss_legendre(self.order)
-        x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+        x = 0.5 * (b - a) * _NODES + 0.5 * (a + b)
         fx = np.asarray(f(x), dtype=float)
-        return 0.5 * (b - a) * np.tensordot(weights, fx, axes=(0, 0))
+        return 0.5 * (b - a) * np.tensordot(_WEIGHTS, fx, axes=(0, 0))
 
     def integrate(self, f, a, b, points=()):
         """Integrate f over [a, b], forcing panel breaks at `points`.
@@ -75,7 +68,7 @@ class Quadrature:
             left = self._panel(f, a, mid)
             right = self._panel(f, mid, b)
             delta = np.max(np.abs(left + right - whole))
-            if delta <= tol or depth >= self.max_depth:
+            if delta <= tol or depth >= MAX_DEPTH:
                 total = total + left + right
                 # bisecting a Gauss panel roughly squares its accuracy, so
                 # the parent-child difference is a conservative error bound

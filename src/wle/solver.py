@@ -291,13 +291,21 @@ def _choose_index(roots, n, solver_config):
 
 
 def build_root_set(roots, n, solver_config, **counters):
-    """Cluster, rank and apply the root-selection rule."""
+    """Cluster, rank and apply the root-selection rule.
+
+    With no converged root this raises DegenerateFitError, counting the
+    starts that degenerated (None), those that did not certify, and the
+    skipped subsamples."""
     converged = [r for r in roots if r is not None and r.converged]
     non_conv = cluster_roots(
         [r for r in roots if r is not None and not r.converged])
     distinct = cluster_roots(converged)
     if not distinct:
-        raise DegenerateFitError("no converged roots found")
+        degenerate = sum(r is None for r in roots)
+        raise DegenerateFitError(
+            f"no converged roots found: of {len(roots)} starts, {degenerate}"
+            f" degenerated and {len(roots) - degenerate} did not certify; "
+            f"{counters.get('n_skipped_subsamples', 0)} subsamples skipped")
     selected, rule = _choose_index(distinct, n, solver_config)
     return RootSet(roots=distinct, selected_index=selected, n=n,
                    selection_rule=rule, non_converged=non_conv, **counters)

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, ndtr
 
 from wle.bvn import bvn_cdf
+from wle.diagnostics import QUAD
 from wle.families import (DegenerateFitError, DomainError, FAMILIES,
                           TAIL_MASS, concentration_ellipse, ellipse_polyline,
                           get_family)
@@ -360,6 +361,38 @@ def test_integration_range_and_median(name):
         # the exponential range leaves exactly TAIL_MASS, up to rounding
         assert below <= TAIL_MASS * (1 + 1e-12)
         assert above <= TAIL_MASS * (1 + 1e-12)
+
+
+_INFO_CASES = {
+    "normal": [(0.0, 1.0), (2.0, 4.0)],
+    "normal_location": [(0.0,), (-1.5,)],
+    "exponential": [(1.0,), (0.3,)],
+    "poisson": [(0.4,), (2.5,)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INFO_CASES))
+def test_fisher_information_is_the_score_second_moment(name):
+    # the first-order influence I(theta)^{-1} u_theta(y) rests on these
+    # closed forms: I(theta) = E_theta[u u^T], integrated over the family's
+    # range with a break at the median, or summed over its integers
+    fam = get_family(name)
+    for theta in map(np.array, _INFO_CASES[name]):
+        a, b = fam.integration_range(theta)
+        if fam.discrete:
+            k = np.arange(a, b + 1.0)
+            u = fam.score(theta, k)
+            moment = np.einsum("n,ni,nj->ij", fam.pmf(theta, k), u, u)
+        else:
+            def integrand(x):
+                u = fam.score(theta, x)
+                return (fam.pdf(theta, x)[:, None, None]
+                        * u[:, :, None] * u[:, None, :])
+
+            moment = QUAD.integrate(integrand, a, b,
+                                    points=[fam.median(theta)])
+        np.testing.assert_allclose(moment, fam.fisher_information(theta),
+                                   rtol=0, atol=1e-8)
 
 
 def test_concentration_ellipse_mahalanobis():

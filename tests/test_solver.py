@@ -479,6 +479,34 @@ def test_no_fixed_point_sample_certifies_no_root():
                                atol=1e-6)
 
 
+def _no_root_samples():
+    """Normal samples whose search finds no root, with the counts its error
+    reports."""
+    return {
+        # zero variance: the full-sample MLE and every subsample fit
+        # degenerate
+        "constant": (np.full(30, 2.0), SolverConfig(), "of 1 starts, 1 "
+                     "degenerated and 0 did not certify; 50 subsamples "
+                     "skipped"),
+        # the variance overflows: the same, on valid finite data
+        "1e200-scale": (1e200 * np.random.default_rng(0).normal(size=30),
+                        SolverConfig(), "of 1 starts, 1 degenerated and 0 "
+                        "did not certify; 50 subsamples skipped"),
+        # no fixed point: every start runs its budget without certifying
+        "seed-312": (*_seed312_sample(), "of 51 starts, 0 degenerated and "
+                     "51 did not certify; 0 subsamples skipped"),
+    }
+
+
+@pytest.mark.parametrize("sample", ["constant", "1e200-scale", "seed-312"])
+def test_no_root_error_says_why(sample):
+    x, cfg, counts = _no_root_samples()[sample]
+    with pytest.raises(DegenerateFitError) as err:
+        bootstrap_root_search(get_family("normal"), x, ResidualConfig(),
+                              GammaKernel(1.02), cfg)
+    assert str(err.value) == f"no converged roots found: {counts}"
+
+
 def test_simulation_iteration_budget(monkeypatch):
     # the slowest row of each search of a small fixed grid: its p90 is 40
     # batch iterations with the plain reweighting step and 22 with the
