@@ -121,6 +121,11 @@ def _cmd_simulate(args):
 
 
 def _cmd_diagnose(args):
+    if args.bias_curve or args.mixture_scan:  # both fix their own models
+        mode = "--bias-curve" if args.bias_curve else "--mixture-scan"
+        for name in ("model", "data", "columns", "log"):
+            if getattr(args, name) not in (None, False):
+                raise ValueError(f"--{name} does not apply to {mode}")
     if args.bias_curve:
         fam = get_family("normal_location")
         rep = influence_report(fam, np.array([0.0]), _weight_spec(args),

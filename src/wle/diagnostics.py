@@ -12,6 +12,7 @@ families. All integrals use one adaptive rule, `QUAD`.
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from scipy.optimize import bisect
 from scipy.special import ndtri
 
 from .families import get_family
-from .quadrature import Quadrature
+from .quadrature import Quadrature, QuadratureWarning
 from .residuals import ResidualConfig, model_tail, tau_branch
 
 QUAD = Quadrature()
@@ -140,7 +141,9 @@ def influence_second_order(family, theta, weight_spec, y):
     Evaluated at the model for scalar-parameter families; the three
     integral groups share the template in which only w''(0) distinguishes
     one weight family from another (it enters the middle group with a
-    flipped sign). The point y is checked as in `influence_first_order`.
+    flipped sign). The point y is checked as in `influence_first_order`;
+    where the integrals cannot be certified (the exponential within about
+    1e-11 of y = 0) this raises ValueError.
     """
     theta = np.asarray(theta, dtype=float)
     family.check_params(theta)
@@ -172,8 +175,14 @@ def influence_second_order(family, theta, weight_spec, y):
         g4 = family.score_curvature(theta, x)
         return family.pdf(theta, x)[:, None] * np.column_stack([g1, g2, g3, g4])
 
-    i1, i2, i3, i4 = QUAD.integrate(groups, a, b,
-                                    points=[family.median(theta), y])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureWarning)
+        try:
+            i1, i2, i3, i4 = QUAD.integrate(groups, a, b,
+                                            points=[family.median(theta), y])
+        except QuadratureWarning as exc:
+            raise ValueError(f"T''(y) at y = {y} cannot be certified: "
+                             f"{exc}") from None
     bracket = (c * i1
                + 2.0 * t1 * (-c * i2 + grad_u_y + info)
                + t1 * t1 * (i4 + c * i3))

@@ -408,12 +408,13 @@ class BivariateNormal(Family):
             z1, z2, rho = self._standardize(theta, xy)
             return bvn_cdf(z1, z2, rho)
 
-    def empirical(self, xy):
-        return EmpiricalFunctions(xy, bivariate=True)
-
     def residual(self, thetas, xy, empirical, p):
         """Residual from the quadrant with the smallest model probability;
-        ties at the minimum are broken in the fixed order ll, lg, gl, gg."""
+        ties at the minimum are broken in the fixed order ll, lg, gl, gg.
+        The quadrant residual has no tail fraction, so p must be 1/2."""
+        if p != 0.5:
+            raise ValueError(f"p = {p}: the bivariate quadrant residual has "
+                             "no tail fraction, so p must be 0.5")
         xy = np.asarray(xy, dtype=float)
         if xy.ndim != 2:
             xy = xy.reshape(-1, 2)

@@ -61,22 +61,23 @@ class EmpiricalFunctions:
     the sample points `at_sample` gives either these counts or the rank
     values F_n(X_(i)) = i/n and S_n(X_(i)) = (n - i + 1)/n, with tied
     observations taking consecutive ranks; both are computed once.
-    For bivariate data the four quadrant counters are evaluated by direct
-    counting, at the sample points once per sample.
+    Data of shape (n, 2) are bivariate: their four quadrant counters are
+    evaluated by direct counting, at the sample points once per sample.
+    Any other data are flattened.
 
     `sample` is a read-only copy of the sample, (n,) or bivariate (n, 2).
     """
 
-    def __init__(self, data, bivariate=False):
-        self.bivariate = bivariate
-        x = np.asarray(data, dtype=float).reshape(
-            (-1, 2) if bivariate else -1).copy()
+    def __init__(self, data):
+        x = np.asarray(data, dtype=float)
+        self.bivariate = x.ndim == 2 and x.shape[1] == 2
+        x = x.reshape((-1, 2) if self.bivariate else -1).copy()
         x.flags.writeable = False
         self.sample = x
         self.n = len(x)
         if self.n < 1:
             raise ValueError("need at least one observation")
-        if bivariate:
+        if self.bivariate:
             self._counted = self.quadrants(x)
         else:
             order = np.argsort(x, kind="stable")

@@ -141,12 +141,9 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
                 th[i:i + step], data, w[i:i + step])), axis=1)
         return out
 
-    iters = np.full(nstart, solver_config.max_iter)
-    conv = np.zeros(nstart, dtype=bool)
-    alive = np.all(np.isfinite(thetas), axis=1)
-    resid = np.empty(nstart)
-    W = [None] * nstart             # weights at the final theta of each row
-    active = np.flatnonzero(alive)  # rows still iterating, and for each:
+    roots = [None] * nstart         # each row's Root, built where it stops
+    ok = np.all(np.isfinite(thetas), axis=1)
+    active = np.flatnonzero(ok)     # rows still iterating, and for each:
     x = thetas[active]              # its current point
     w = weights(x)                  # its weights there
     pf = pg = np.zeros_like(x)      # its last plain step f and fit g
@@ -155,7 +152,6 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
         g = family.weighted_fit_batch(data, w)
         ok = np.all(np.isfinite(g), axis=1)
         if not np.all(ok):
-            alive[active[~ok]] = False
             active, x, g, pf, pg, pdelta = (
                 a[ok] for a in (active, x, g, pf, pg, pdelta))
         f = g - x
@@ -173,33 +169,28 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
         x = np.where((take & family.in_space(x))[:, None], x, g)
         pf, pg, pdelta = f, g, delta
         w = weights(x)
-        near = np.flatnonzero(delta < solver_config.tol)
-        if near.size:
-            r = score_residuals(g[near], w[near])
-            resid[active[near]] = r
-            solved = r < SCORE_RESIDUAL_TOL * n
-            conv[active[near[solved]]] = True
-            stop = near[solved | (delta[near] <= STALL_STEP)]
-            if stop.size:
-                iters[active[stop]] = it
-                thetas[active[stop]] = x[stop]
-                for i, wi in zip(active[stop], w[stop]):
-                    W[i] = wi
-                keep = np.ones(active.size, dtype=bool)
-                keep[stop] = False
-                active, x, w, pf, pg, pdelta = (
-                    a[keep] for a in (active, x, w, pf, pg, pdelta))
+        # a near row is certified at x, which is its g; on the last
+        # iteration every row stops, out of iterations unless certified
+        near, last = delta < solver_config.tol, it == solver_config.max_iter
+        check = np.flatnonzero(near | last)
+        if check.size:
+            r = score_residuals(x[check], w[check])
+            conv = near[check] & (r < SCORE_RESIDUAL_TOL * n)
+            stop = conv | (delta[check] <= STALL_STEP) | last
+            out = check[stop]
+            # the stopped rows' copies, so no Root holds the whole batch
+            for i, xi, wi, c, ri in zip(active[out], x[out], w[out],
+                                        conv[stop], r[stop]):
+                roots[i] = Root(theta=xi, weights=wi,
+                                weight_sum=float(wi.sum()), iterations=it,
+                                converged=bool(c), score_residual=float(ri))
+            keep = np.ones(active.size, dtype=bool)
+            keep[out] = False
+            active, x, w, pf, pg, pdelta = (
+                a[keep] for a in (active, x, w, pf, pg, pdelta))
         if not active.size:
             break
-    if active.size:  # out of iterations
-        thetas[active] = x
-        for i, wi in zip(active, w):
-            W[i] = wi
-        resid[active] = score_residuals(x, w)
-    return [Root(theta=thetas[i], weights=W[i], weight_sum=float(W[i].sum()),
-                 iterations=int(iters[i]), converged=bool(conv[i]),
-                 score_residual=float(resid[i])) if alive[i] else None
-            for i in range(nstart)]
+    return roots
 
 
 def solve_from(family, data, residual_config, weight_spec, solver_config,
@@ -290,25 +281,27 @@ def _choose_index(roots, n, solver_config):
     return eligible[0], "highest"
 
 
-def build_root_set(roots, n, solver_config, **counters):
-    """Cluster, rank and apply the root-selection rule.
-
-    With no converged root this raises DegenerateFitError, counting the
-    starts that degenerated (None), those that did not certify, and the
-    skipped subsamples."""
+def build_root_set(roots, n, solver_config, n_skipped_subsamples=0):
+    """Cluster, rank and apply the root-selection rule to one Root-or-None
+    per start, reading the start counts off `roots`. With no converged
+    root this raises DegenerateFitError, counting the starts that
+    degenerated (None), those that did not certify, and the skipped
+    subsamples."""
+    n_failed = sum(r is None for r in roots)
     converged = [r for r in roots if r is not None and r.converged]
     non_conv = cluster_roots(
         [r for r in roots if r is not None and not r.converged])
     distinct = cluster_roots(converged)
     if not distinct:
-        degenerate = sum(r is None for r in roots)
         raise DegenerateFitError(
-            f"no converged roots found: of {len(roots)} starts, {degenerate}"
-            f" degenerated and {len(roots) - degenerate} did not certify; "
-            f"{counters.get('n_skipped_subsamples', 0)} subsamples skipped")
+            f"no converged roots found: of {len(roots)} starts, {n_failed}"
+            f" degenerated and {len(roots) - n_failed} did not certify; "
+            f"{n_skipped_subsamples} subsamples skipped")
     selected, rule = _choose_index(distinct, n, solver_config)
     return RootSet(roots=distinct, selected_index=selected, n=n,
-                   selection_rule=rule, non_converged=non_conv, **counters)
+                   selection_rule=rule, n_restarts=len(roots),
+                   n_failed=n_failed, non_converged=non_conv,
+                   n_skipped_subsamples=n_skipped_subsamples)
 
 
 def bootstrap_root_search(family, data, residual_config, weight_spec,
@@ -330,6 +323,5 @@ def bootstrap_root_search(family, data, residual_config, weight_spec,
     starts.insert(0, family.weighted_fit_batch(data, np.ones((1, n)))[0])
     roots = _solve_batch(family, data, residual_config, weight_spec,
                          solver_config, np.asarray(starts))
-    failed = sum(r is None for r in roots)
-    return build_root_set(roots, n, solver_config, n_restarts=len(starts),
-                          n_failed=failed, n_skipped_subsamples=skipped)
+    return build_root_set(roots, n, solver_config,
+                          n_skipped_subsamples=skipped)

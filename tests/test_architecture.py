@@ -82,5 +82,15 @@ def test_no_switch_on_the_family(module):
         if (isinstance(node.func, ast.Name) and node.func.id == "isinstance"
                 and len(node.args) == 2):
             assert not _names(node.args[1]) & families, node.lineno
-        # which empirical functions a sample needs is the family's choice
-        assert "bivariate" not in {k.arg for k in node.keywords}, node.lineno
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_bivariate_keyword(module):
+    # the sample's shape says whether it is bivariate: no function takes
+    # a `bivariate` argument and no call passes one
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Call):
+            assert "bivariate" not in {k.arg for k in node.keywords}
+        elif isinstance(node, ast.arguments):
+            assert "bivariate" not in {a.arg for a in [
+                *node.posonlyargs, *node.args, *node.kwonlyargs]}

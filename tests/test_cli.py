@@ -200,8 +200,20 @@ def test_invalid_values_are_usage_errors(capsys, argv):
                               "(n, 2), not (66,)"),
     (["roots", "--model", "normal", "--data", "newcomb", "--weight-fn",
       "none"], "--weight-fn none: this command needs a weight function"),
+    (["diagnose", "--bias-curve", "--model", "exponential"],
+     "--model does not apply to --bias-curve"),
+    (["diagnose", "--mixture-scan", "--data", "newcomb"],
+     "--data does not apply to --mixture-scan"),
+    (["diagnose", "--bias-curve", "--columns", "deviation"],
+     "--columns does not apply to --bias-curve"),
+    (["diagnose", "--mixture-scan", "--log"],
+     "--log does not apply to --mixture-scan"),
+    (["roots", "--model", "bivariate_normal", "--data",
+      "hertzsprung_russell", "--p", "0.1"], "p = 0.1: the bivariate "
+     "quadrant residual has no tail fraction, so p must be 0.5"),
 ], ids=["ellipse-no-data", "ellipse-no-model", "ellipse-normal-model",
-        "bivariate-one-column", "roots-without-weights"])
+        "bivariate-one-column", "roots-without-weights", "bias-curve-model",
+        "scan-data", "bias-curve-columns", "scan-log", "bivariate-p"])
 def test_missing_or_mismatched_flags_are_usage_errors(capsys, argv, message):
     assert _usage_error(capsys, argv) == f"wle: error: {message}"
 

@@ -167,6 +167,18 @@ def test_influence_near_the_support_edge_unchanged():
     assert t1[0] == pytest.approx(0.999, abs=1e-5)
     t2 = influence_second_order(fam, (1.0,), GammaKernel(2.0), 1e-3)
     assert t2 == pytest.approx(-2.5299043393020075, rel=1e-12)
+    # T'' diverges like log y towards the edge
+    for y, ref in ((1e-6, -9.4276148914421), (1e-9, -16.335360116823875)):
+        assert influence_second_order(fam, (1.0,), GammaKernel(2.0),
+                                      y) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("y", [1e-12, 1e-300])
+def test_second_order_raises_where_it_cannot_certify(y):
+    # the quadrature error estimates are 1.3e-1 and 6.9e-1 against 1e-8
+    with pytest.raises(ValueError, match=rf"y = {y} cannot be certified"):
+        influence_second_order(get_family("exponential"), (1.0,),
+                               GammaKernel(2.0), y)
 
 
 def test_population_score_is_odd_in_symmetric_case():

@@ -70,7 +70,7 @@ def test_sample_check_reads_a_private_copy(bivariate):
     # changed in place after the build still raises
     rng = np.random.default_rng(8)
     x = rng.normal(size=(12, 2) if bivariate else 12)
-    emp = EmpiricalFunctions(x, bivariate=bivariate)
+    emp = EmpiricalFunctions(x)
     ref = emp.at_sample(x)
     for same in (x.copy(), emp.sample):
         np.testing.assert_array_equal(emp.at_sample(same), ref)
@@ -136,10 +136,19 @@ def test_empirical_cdf_plus_survival():
                 == pytest.approx(1.0 + atom))
 
 
+@pytest.mark.parametrize("shape", [(6,), (6, 1), (2, 3), (3, 2), (3, 2, 1)])
+def test_only_n_by_2_data_are_bivariate(shape):
+    # any other shape is flattened
+    emp = EmpiricalFunctions(np.arange(6.0).reshape(shape))
+    bivariate = shape == (3, 2)
+    assert emp.bivariate == bivariate
+    assert emp.sample.shape == ((3, 2) if bivariate else (6,))
+
+
 def test_empirical_quadrants_sum():
     rng = np.random.default_rng(3)
     xy = rng.normal(size=(40, 2))
-    emp = EmpiricalFunctions(xy, bivariate=True)
+    emp = EmpiricalFunctions(xy)
     q = emp.quadrants(xy)
     # quadrant masses double-count the boundary rows/columns through the
     # inclusive conventions, so each row sums to at least 1
@@ -163,7 +172,7 @@ def test_blocked_quadrants_match_direct_count(budget, monkeypatch):
     assert len(np.unique(xy[:, 0])) < 60 and len(np.unique(xy[:, 1])) < 60
     others = np.vstack([np.round(rng.normal(size=(13, 2)), 1), xy[:4]])
     monkeypatch.setattr(residuals, "BLOCK_ELEMENTS", budget)
-    emp = EmpiricalFunctions(xy, bivariate=True)
+    emp = EmpiricalFunctions(xy)
     _assert_bits(emp.at_sample(emp.sample), _direct_quadrants(xy, xy))
     _assert_bits(emp.quadrants(others), _direct_quadrants(xy, others))
 
@@ -174,7 +183,7 @@ def test_quadrants_memory_peak():
     xy = np.random.default_rng(0).normal(size=(6000, 2))
     tracemalloc.start()
     try:
-        EmpiricalFunctions(xy, bivariate=True)
+        EmpiricalFunctions(xy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -66,6 +66,21 @@ def test_selection_no_eligible_root_falls_back_to_highest():
     assert _selected([5.0, 4.0], cfg).weight_sum == 5.0
 
 
+def test_root_set_counts_are_read_off_the_roots():
+    # one Root-or-None per start: None is a failed start
+    stuck = Root(theta=np.array([5.0]), weights=np.array([1.0]),
+                 weight_sum=1.0, iterations=500, converged=False,
+                 score_residual=1.0)
+    rs = build_root_set([_fake_root(20.0), None, stuck], 30, SolverConfig(),
+                        n_skipped_subsamples=2)
+    assert (rs.n_restarts, rs.n_failed, rs.n_skipped_subsamples) == (3, 1, 2)
+    assert rs.roots[0].weight_sum == 20.0 and rs.non_converged == [stuck]
+    with pytest.raises(DegenerateFitError, match="of 3 starts, 2 degenerated "
+                       "and 1 did not certify; 2 subsamples skipped"):
+        build_root_set([None, stuck, None], 30, SolverConfig(),
+                       n_skipped_subsamples=2)
+
+
 def test_cluster_roots_dedupes():
     roots = [_fake_root(10.0, mu=1.0), _fake_root(9.0, mu=1.0 + 1e-7),
              _fake_root(8.0, mu=5.0)]
@@ -432,6 +447,16 @@ def test_hertzsprung_russell_search_emits_no_warning():
                                    ResidualConfig(kind=kind), spec,
                                    SolverConfig(seed=0))
     assert rs.selected.converged
+
+
+def test_bivariate_search_rejects_a_tail_fraction():
+    # the quadrant residual reads no tail fraction, so p = 0.1 used to give
+    # the roots of p = 1/2
+    name, data, kind, spec = _SEARCHES["hertzsprung_russell"]()
+    with pytest.raises(ValueError, match="p must be 0.5"):
+        bootstrap_root_search(get_family(name), data,
+                              ResidualConfig(p=0.1, kind=kind), spec,
+                              SolverConfig(seed=0))
 
 
 @pytest.mark.parametrize("case", ["animals", "voltage_drop"])
