@@ -70,14 +70,16 @@ def _load_columns(args):
     return x[:, 0] if x.shape[1] == 1 else x
 
 
+def _given(args, config):
+    """The flags of `config`'s fields that were given; it supplies the rest."""
+    return {f.name: v for f in fields(config)
+            if (v := getattr(args, f.name, None)) is not None}
+
+
 def _configs(args):
     family = get_family(args.model)
-    rc = ResidualConfig(p=args.p, kind=family.kind)
-    # the solver flags a subcommand has; SolverConfig supplies the rest
-    sc = SolverConfig(**{f.name: getattr(args, f.name)
-                         for f in fields(SolverConfig)
-                         if hasattr(args, f.name)})
-    return family, rc, sc
+    rc = ResidualConfig(**_given(args, ResidualConfig), kind=family.kind)
+    return family, rc, SolverConfig(**_given(args, SolverConfig))
 
 
 def _emit(obj):
@@ -121,11 +123,15 @@ def _cmd_simulate(args):
 
 
 def _cmd_diagnose(args):
-    if args.bias_curve or args.mixture_scan:  # both fix their own models
+    if args.bias_curve or args.mixture_scan:
+        # both fix their own models and solve nothing, and the influence
+        # analysis reads the residual's branch at p = 1/2
         mode = "--bias-curve" if args.bias_curve else "--mixture-scan"
-        for name in ("model", "data", "columns", "log"):
+        unused = ["model", "data", "columns", "log", "tol", "max_iter"]
+        for name in unused + ["p"] * args.bias_curve:
             if getattr(args, name) not in (None, False):
-                raise ValueError(f"--{name} does not apply to {mode}")
+                raise ValueError(f"--{name.replace('_', '-')} does not "
+                                 f"apply to {mode}")
     if args.bias_curve:
         fam = get_family("normal_location")
         rep = influence_report(fam, np.array([0.0]), _weight_spec(args),
@@ -144,7 +150,8 @@ def _cmd_diagnose(args):
                                  contaminant=contaminant)
         hi = max(4.0, args.contaminant_mean + 4.0)
         grid = np.arange(-4.0, hi + 1e-9, 0.05)
-        roots = mixture_root_scan(spec, _weight_spec(args), grid, p=args.p)
+        p = ResidualConfig.p if args.p is None else args.p
+        roots = mixture_root_scan(spec, _weight_spec(args), grid, p=p)
         sys.stdout.write(curve_to_csv(["root"], np.asarray(roots)))
         return 0
     if args.ellipse:
@@ -190,9 +197,11 @@ def _add_weight_args(p):
     for kernel in KERNELS.values():  # one flag per tuning field
         for f in fields(kernel):
             p.add_argument(f"--{f.name}", type=float, default=f.default)
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=SolverConfig.tol)
-    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    # None when not given: `_configs` fills in the config defaults, and
+    # `diagnose` rejects the flags that its mode does not read
+    p.add_argument("--p", type=float)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iter", type=int)
 
 
 def build_parser():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from wle.cli import _configs, _weight_spec, build_parser, main
+from wle.residuals import ResidualConfig
 from wle.solver import SolverConfig
 from wle.weights import DEFAULT_SPECS, KERNELS
 
@@ -168,7 +169,15 @@ def test_log_transform(capsys):
 def test_solver_defaults_come_from_solver_config(command):
     args = build_parser().parse_args([command, "--model", "normal",
                                       "--data", "newcomb"])
-    assert _configs(args)[2] == SolverConfig()
+    assert _configs(args)[1:] == (ResidualConfig(), SolverConfig())
+
+
+def test_given_solver_flags_reach_the_configs():
+    args = build_parser().parse_args(["roots", "--model", "normal", "--data",
+                                      "newcomb", "--p", "0.3", "--tol",
+                                      "1e-6", "--max-iter", "7"])
+    _, rc, sc = _configs(args)
+    assert (rc.p, sc.tol, sc.max_iter) == (0.3, 1e-6, 7)
 
 
 @pytest.mark.parametrize("argv", [
@@ -211,9 +220,23 @@ def test_invalid_values_are_usage_errors(capsys, argv):
     (["roots", "--model", "bivariate_normal", "--data",
       "hertzsprung_russell", "--p", "0.1"], "p = 0.1: the bivariate "
      "quadrant residual has no tail fraction, so p must be 0.5"),
+    # the bias curve reads the branch at p = 1/2, and neither diagnostic
+    # runs the solver
+    (["diagnose", "--bias-curve", "--p", "0.5"],
+     "--p does not apply to --bias-curve"),
+    (["diagnose", "--bias-curve", "--tol", "1e-2"],
+     "--tol does not apply to --bias-curve"),
+    (["diagnose", "--mixture-scan", "--tol", "1e-2"],
+     "--tol does not apply to --mixture-scan"),
+    (["diagnose", "--bias-curve", "--max-iter", "1"],
+     "--max-iter does not apply to --bias-curve"),
+    (["diagnose", "--mixture-scan", "--max-iter", "500"],
+     "--max-iter does not apply to --mixture-scan"),
 ], ids=["ellipse-no-data", "ellipse-no-model", "ellipse-normal-model",
         "bivariate-one-column", "roots-without-weights", "bias-curve-model",
-        "scan-data", "bias-curve-columns", "scan-log", "bivariate-p"])
+        "scan-data", "bias-curve-columns", "scan-log", "bivariate-p",
+        "bias-curve-p", "bias-curve-tol", "scan-tol", "bias-curve-max-iter",
+        "scan-max-iter"])
 def test_missing_or_mismatched_flags_are_usage_errors(capsys, argv, message):
     assert _usage_error(capsys, argv) == f"wle: error: {message}"
 
