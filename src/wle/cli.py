@@ -25,14 +25,36 @@ from .tables import (REPRODUCTION_SEED, export_report, reproduce_table,
 from .weights import KERNELS
 
 
+#: the tuning flags of every kernel, one per field
+_KERNEL_FLAGS = [f.name for kernel in KERNELS.values() for f in fields(kernel)]
+
+#: the flags that one diagnose mode reads, with their defaults
+_MODE_FLAGS = {"bias_curve": {"y": 3.0},
+               "mixture_scan": {"eps": 0.2, "contaminant_mean": 5.0,
+                                "contaminant_var": 1.0},
+               "ellipse": {"coverage": 0.95}}
+
+
+def _reject(args, names, where):
+    """A usage error for the first of `names` given on the command line;
+    `where` does not read it."""
+    for name in names:
+        if getattr(args, name) not in (None, False):
+            raise ValueError(f"--{name.replace('_', '-')} does not apply "
+                             f"to {where}")
+
+
 def _weight_spec(args):
     """The --weight-fn kernel, its tuning parameters read from the flags
-    named after its fields."""
+    named after its fields; another kernel's flag is a usage error."""
     kernel = KERNELS.get(args.weight_fn)
     if kernel is None:
         raise ValueError(f"--weight-fn {args.weight_fn}: this command "
                          "needs a weight function")
-    return kernel(**{f.name: getattr(args, f.name) for f in fields(kernel)})
+    own = [f.name for f in fields(kernel)]
+    _reject(args, [n for n in _KERNEL_FLAGS if n not in own],
+            f"--weight-fn {args.weight_fn}")
+    return kernel(**_given(args, kernel))
 
 
 def _load_columns(args):
@@ -66,6 +88,8 @@ def _load_columns(args):
         raise ValueError(f"--data {args.data}: a row is shorter than the "
                          "header")
     if args.log:
+        if not np.all(x > 0):
+            raise ValueError("--log: the selected columns hold values <= 0")
         x = np.log(x)
     return x[:, 0] if x.shape[1] == 1 else x
 
@@ -77,6 +101,9 @@ def _given(args, config):
 
 
 def _configs(args):
+    if args.weight_fn == "none":  # the MLE reads no kernel or solver flag
+        _reject(args, [*_KERNEL_FLAGS, "p", "tol", "max_iter"],
+                "--weight-fn none")
     family = get_family(args.model)
     rc = ResidualConfig(**_given(args, ResidualConfig), kind=family.kind)
     return family, rc, SolverConfig(**_given(args, SolverConfig))
@@ -123,16 +150,22 @@ def _cmd_simulate(args):
 
 
 def _cmd_diagnose(args):
-    if args.bias_curve or args.mixture_scan:
+    mode = next((m for m in _MODE_FLAGS if getattr(args, m)), None)
+    if mode is None:
+        raise ValueError("choose one of --bias-curve, --mixture-scan, "
+                         "--ellipse")
+    where = f"--{mode.replace('_', '-')}"
+    _reject(args, [n for m, flags in _MODE_FLAGS.items() if m != mode
+                   for n in flags], where)
+    if mode != "ellipse":
         # both fix their own models and solve nothing, and the influence
         # analysis reads the residual's branch at p = 1/2
-        mode = "--bias-curve" if args.bias_curve else "--mixture-scan"
-        unused = ["model", "data", "columns", "log", "tol", "max_iter"]
-        for name in unused + ["p"] * args.bias_curve:
-            if getattr(args, name) not in (None, False):
-                raise ValueError(f"--{name.replace('_', '-')} does not "
-                                 f"apply to {mode}")
-    if args.bias_curve:
+        _reject(args, ["model", "data", "columns", "log", "tol", "max_iter"]
+                + ["p"] * (mode == "bias_curve"), where)
+    for name, value in _MODE_FLAGS[mode].items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+    if mode == "bias_curve":
         fam = get_family("normal_location")
         rep = influence_report(fam, np.array([0.0]), _weight_spec(args),
                                args.y)
@@ -141,7 +174,7 @@ def _cmd_diagnose(args):
         sys.stdout.write(curve_to_csv(["eps", "predicted_bias", "mle_bias"],
                                       rows))
         return 0
-    if args.mixture_scan:
+    if mode == "mixture_scan":
         norm = get_family("normal")
         base = ModelDistribution(norm, (0.0, 1.0))
         contaminant = ModelDistribution(
@@ -154,21 +187,19 @@ def _cmd_diagnose(args):
         roots = mixture_root_scan(spec, _weight_spec(args), grid, p=p)
         sys.stdout.write(curve_to_csv(["root"], np.asarray(roots)))
         return 0
-    if args.ellipse:
-        if args.model != "bivariate_normal":
-            raise ValueError("--ellipse needs --model bivariate_normal")
-        if args.data is None:
-            raise ValueError("--ellipse needs --data")
-        x = _load_columns(args)
-        family, rc, sc = _configs(args)
-        theta = family.mle(x)
-        if args.weight_fn != "none":
-            theta = solve_from(family, x, rc, _weight_spec(args), sc,
-                               theta).theta
-        pts = ellipse_polyline(theta, coverage=args.coverage)
-        sys.stdout.write(curve_to_csv(["x", "y"], pts))
-        return 0
-    raise ValueError("choose one of --bias-curve, --mixture-scan, --ellipse")
+    if args.model != "bivariate_normal":
+        raise ValueError("--ellipse needs --model bivariate_normal")
+    if args.data is None:
+        raise ValueError("--ellipse needs --data")
+    x = _load_columns(args)
+    family, rc, sc = _configs(args)
+    theta = family.mle(x)
+    if args.weight_fn != "none":
+        theta = solve_from(family, x, rc, _weight_spec(args), sc,
+                           theta).theta
+    pts = ellipse_polyline(theta, coverage=args.coverage)
+    sys.stdout.write(curve_to_csv(["x", "y"], pts))
+    return 0
 
 
 def _cmd_reproduce(args):
@@ -194,11 +225,10 @@ def _add_model_args(p, model_required=True):
 def _add_weight_args(p):
     p.add_argument("--weight-fn", default="gamma",
                    choices=[*KERNELS, "none"])
-    for kernel in KERNELS.values():  # one flag per tuning field
-        for f in fields(kernel):
-            p.add_argument(f"--{f.name}", type=float, default=f.default)
-    # None when not given: `_configs` fills in the config defaults, and
-    # `diagnose` rejects the flags that its mode does not read
+    # None when not given: the kernel and `_configs` fill in the field
+    # defaults, and a command rejects the flags that it does not read
+    for name in _KERNEL_FLAGS:  # one flag per tuning field
+        p.add_argument(f"--{name}", type=float)
     p.add_argument("--p", type=float)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int)
@@ -241,12 +271,11 @@ def build_parser():
     p.add_argument("--bias-curve", action="store_true")
     p.add_argument("--mixture-scan", action="store_true")
     p.add_argument("--ellipse", action="store_true")
-    p.add_argument("--y", type=float, default=3.0,
-                   help="contamination point for the bias curve")
-    p.add_argument("--eps", type=float, default=0.2)
-    p.add_argument("--contaminant-mean", type=float, default=5.0)
-    p.add_argument("--contaminant-var", type=float, default=1.0)
-    p.add_argument("--coverage", type=float, default=0.95)
+    for mode, flags in _MODE_FLAGS.items():  # None when not given
+        for name, value in flags.items():
+            p.add_argument(f"--{name.replace('_', '-')}", type=float,
+                           help=f"read by --{mode.replace('_', '-')}, "
+                                f"default {value}")
     _add_model_args(p, model_required=False)
     _add_weight_args(p)
     p.set_defaults(func=_cmd_diagnose)

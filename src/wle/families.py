@@ -71,12 +71,19 @@ class Family:
         """Raise DomainError for observations outside the support, which
         by default is every real value."""
 
-    def check_shape(self, x):
-        """Raise DomainError unless x holds observations of `obs_shape`."""
-        if np.ndim(x) < 1 or np.shape(x)[1:] != self.obs_shape:
+    def check_data(self, x):
+        """x as floats; raise DomainError for observations not of
+        `obs_shape`, non-finite ones and ones outside the support, in
+        that order."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim < 1 or x.shape[1:] != self.obs_shape:
             want = "".join(f" {d}" for d in self.obs_shape)
             raise DomainError(f"{self.name} data must have shape (n,{want}),"
-                              f" not {np.shape(x)}")
+                              f" not {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("observations must be finite")
+        self.check_support(x)
+        return x
 
     def score(self, theta, x):
         """Gradient of the log-density at each observation.
@@ -122,10 +129,9 @@ class Family:
     def weighted_fit(self, x, w):
         """Solve sum_i w_i * u_theta(x_i) = 0 for frozen weights.
 
-        The batch of one; data of the wrong shape and a degenerate or
+        The batch of one; data that fail `check_data` and a degenerate or
         non-finite fit raise."""
-        x = _asarray1d(x)
-        self.check_shape(x)
+        x = self.check_data(x)
         theta = self.weighted_fit_batch(x, np.asarray(w, dtype=float)[None, :])
         if not np.all(np.isfinite(theta)):
             raise DegenerateFitError("weighted fit is degenerate (weight "
@@ -322,7 +328,8 @@ class Exponential(Family):
 
     def weighted_fit_batch(self, x, w):
         m = w @ x / _weight_sums(w)
-        return np.where(m > 0, 1.0 / m, np.nan)[:, None]
+        with np.errstate(divide="ignore"):  # a zero mean is a NaN row
+            return np.where(m > 0, 1.0 / m, np.nan)[:, None]
 
 
 class NormalLocation(NormalErrors):

@@ -66,6 +66,11 @@ class SimulationPlan:
             raise ValueError("contamination levels must lie in [0, 0.5]")
         if self.reps < 1:
             raise ValueError("need at least one replication")
+        m = max(self.solver_config.bootstrap_m,
+                get_family(SCHEMES[self.scheme][0]).min_subsample)
+        if self.n < m:
+            raise ValueError(f"n = {self.n}: the sample size must be at "
+                             f"least the bootstrap subsample size {m}")
 
 
 def _short_label(spec):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import DegenerateFitError, DomainError
+from .families import DegenerateFitError
 from .residuals import BLOCK_ELEMENTS, tau_for_sample
 
 SCORE_RESIDUAL_TOL = 1e-6  # converged roots satisfy ||sum w u||_inf < tol * n
@@ -87,18 +87,12 @@ class RootSet:
 
 
 def _checked_data(family, data, residual_config):
-    """The data as floats; data of the wrong shape, non-finite or
-    out-of-support data raise, and so does a residual kind other than the
-    family's."""
+    """The data from `family.check_data`; a residual kind other than the
+    family's raises."""
     if residual_config.kind != family.kind:
         raise ValueError(f"residual kind {residual_config.kind!r} does not "
                          f"match the {family.kind!r} family {family.name!r}")
-    data = np.asarray(data, dtype=float)
-    family.check_shape(data)
-    if not np.all(np.isfinite(data)):
-        raise DomainError("observations must be finite")
-    family.check_support(data)
-    return data
+    return family.check_data(data)
 
 
 def _solve_batch(family, data, residual_config, weight_spec, solver_config,
@@ -311,9 +305,8 @@ def bootstrap_root_search(family, data, residual_config, weight_spec,
     The full-sample MLE is always included as an extra start, so the
     MLE-like root cannot be missed by unlucky subsampling; a degenerate
     or non-finite MLE fails as a start. All starts iterate together as one
-    batch. Data of the wrong shape, non-finite or out-of-support data
-    raise DomainError, and a residual kind other than the family's raises
-    ValueError.
+    batch. Data that `family.check_data` rejects raise DomainError, and a
+    residual kind other than the family's raises ValueError.
     """
     data = _checked_data(family, data, residual_config)
     n = len(data)

@@ -94,3 +94,13 @@ def test_no_bivariate_keyword(module):
         elif isinstance(node, ast.arguments):
             assert "bivariate" not in {a.arg for a in [
                 *node.posonlyargs, *node.args, *node.kwonlyargs]}
+
+
+def test_solver_holds_no_data_check_of_its_own():
+    # which observations a family accepts is `Family.check_data`'s rule;
+    # the solver calls it and none of the family's partial checks
+    called = {node.func.attr for node in ast.walk(_tree("solver.py"))
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)}
+    assert "check_data" in called
+    assert not called & {"check_support", "check_shape"}

@@ -232,11 +232,39 @@ def test_invalid_values_are_usage_errors(capsys, argv):
      "--max-iter does not apply to --bias-curve"),
     (["diagnose", "--mixture-scan", "--max-iter", "500"],
      "--max-iter does not apply to --mixture-scan"),
+    # a flag that only another kernel, or another mode, reads
+    (["fit", "--model", "normal", "--data", "newcomb", "--weight-fn",
+      "weibull", "--alpha", "5"], "--alpha does not apply to --weight-fn "
+                                  "weibull"),
+    (["fit", "--model", "normal", "--data", "newcomb", "--weight-fn",
+      "none", "--alpha", "3"], "--alpha does not apply to --weight-fn none"),
+    (["fit", "--model", "normal", "--data", "newcomb", "--weight-fn",
+      "none", "--tol", "1e-2"], "--tol does not apply to --weight-fn none"),
+    (["fit", "--model", "normal", "--data", "newcomb", "--weight-fn",
+      "none", "--p", "0.2"], "--p does not apply to --weight-fn none"),
+    (["diagnose", "--mixture-scan", "--y", "7"],
+     "--y does not apply to --mixture-scan"),
+    (["diagnose", "--mixture-scan", "--coverage", "0.5"],
+     "--coverage does not apply to --mixture-scan"),
+    (["diagnose", "--bias-curve", "--eps", "0.3"],
+     "--eps does not apply to --bias-curve"),
+    (["diagnose", "--bias-curve", "--contaminant-mean", "9"],
+     "--contaminant-mean does not apply to --bias-curve"),
+    (["diagnose", "--bias-curve", "--contaminant-var", "4"],
+     "--contaminant-var does not apply to --bias-curve"),
+    (["diagnose", "--ellipse", "--model", "bivariate_normal", "--data",
+      "hertzsprung_russell", "--y", "3"], "--y does not apply to --ellipse"),
+    # the fruit-fly counts hold zeros: checked before np.log warns
+    (["fit", "--model", "poisson", "--data", "drosophila", "--log",
+      "--weight-fn", "none"], "--log: the selected columns hold values <= 0"),
 ], ids=["ellipse-no-data", "ellipse-no-model", "ellipse-normal-model",
         "bivariate-one-column", "roots-without-weights", "bias-curve-model",
         "scan-data", "bias-curve-columns", "scan-log", "bivariate-p",
         "bias-curve-p", "bias-curve-tol", "scan-tol", "bias-curve-max-iter",
-        "scan-max-iter"])
+        "scan-max-iter", "weibull-alpha", "none-alpha", "none-tol", "none-p",
+        "scan-y", "scan-coverage", "bias-curve-eps",
+        "bias-curve-contaminant-mean", "bias-curve-contaminant-var",
+        "ellipse-y", "log-of-zero"])
 def test_missing_or_mismatched_flags_are_usage_errors(capsys, argv, message):
     assert _usage_error(capsys, argv) == f"wle: error: {message}"
 
@@ -264,12 +292,13 @@ def test_malformed_data_file_is_a_usage_error(capsys, tmp_path, text,
 
 @pytest.mark.parametrize("command", ["fit", "roots", "diagnose"])
 def test_kernel_flags_carry_the_field_defaults(command):
-    # every tuning field of every kernel is a flag defaulting to the
-    # field's default, so no flag gives the kernel's default spec
+    # every tuning field of every kernel is a flag that is None when not
+    # given, so the kernel fills in its field default: no flag gives the
+    # kernel's default spec
     args = build_parser().parse_args([command, "--model", "normal",
                                       "--data", "newcomb"])
     for name, kernel in KERNELS.items():
         for f in fields(kernel):
-            assert getattr(args, f.name) == f.default
+            assert getattr(args, f.name) is None
         args.weight_fn = name
         assert _weight_spec(args) == DEFAULT_SPECS[name]

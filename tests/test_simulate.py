@@ -20,6 +20,12 @@ def test_plan_validation():
         SimulationPlan(eps_grid=(0.0, 0.7))
     with pytest.raises(ValueError):
         SimulationPlan(reps=0)
+    # the plan's searches draw subsamples of 5: a smaller sample fails
+    # when the plan is built, not partway through the run
+    for n in (0, 4):
+        with pytest.raises(ValueError, match=rf"^n = {n}: .* size 5$"):
+            SimulationPlan(n=n)
+    assert SimulationPlan(n=5).n == 5
 
 
 def test_report_shapes_and_labels():

@@ -786,3 +786,56 @@ def test_poisson_rejects_out_of_support_data(counts, bad, where):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _search_and_start("poisson", x, theta0=[1.0])
+
+
+_GATE_ENTRIES = {
+    "mle": lambda fam, x, theta0: fam.mle(x),
+    "weighted_fit": lambda fam, x, theta0: fam.weighted_fit(
+        x, np.ones(len(x))),
+    "solve_from": lambda fam, x, theta0: solve_from(
+        fam, x, ResidualConfig(), GammaKernel(1.1), SolverConfig(), theta0),
+    "bootstrap_root_search": lambda fam, x, theta0: bootstrap_root_search(
+        fam, x, ResidualConfig(), GammaKernel(1.1), SolverConfig(seed=0)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_GATE_ENTRIES))
+@pytest.mark.parametrize("name, data, theta0, message", [
+    ("normal", np.ones((6, 2)), [0.0, 1.0],
+     "normal data must have shape (n,), not (6, 2)"),
+    ("normal", [1.0, np.nan, 2.0, 3.0, 4.0, 5.0], [0.0, 1.0],
+     "observations must be finite"),
+    ("normal", [1.0, np.inf, 2.0, 3.0, 4.0, 5.0], [0.0, 1.0],
+     "observations must be finite"),
+    ("poisson", [1.5, 2.0, 3.0, 1.0, 0.0, 4.0], [1.0],
+     "Poisson observations must be nonnegative integers"),
+    ("exponential", [-1.0, 2.0, 3.0, 1.0, 0.5, 4.0], [1.0],
+     "exponential observations must be nonnegative"),
+], ids=["shape", "nan", "inf", "poisson-1.5", "exponential-neg"])
+def test_every_entry_applies_the_one_data_check(entry, name, data, theta0,
+                                                message):
+    # `Family.check_data` is the one gate: the fits and the solver reject
+    # the same observations with the same message, and without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as exc:
+            _GATE_ENTRIES[entry](get_family(name), data, np.array(theta0))
+    assert str(exc.value) == message
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.sampled_from(["exponential", "poisson", "normal"]),
+       hst.lists(hst.integers(0, 4), min_size=6, max_size=20),
+       hst.integers(0, 1000))
+def test_valid_data_with_ties_and_zeros_search_without_warnings(name, values,
+                                                                seed):
+    # a subsample of zeros is in the exponential support; its fit is a
+    # skipped start, and no numpy warning leaks out of any search
+    x = np.array(values, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            bootstrap_root_search(get_family(name), x, ResidualConfig(),
+                                  GammaKernel(1.1), SolverConfig(seed=seed))
+        except DegenerateFitError:
+            pass  # a sample that leaves no root is a typed failure
