@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 from scipy.special import ndtri
 
 from .families import get_family
@@ -24,6 +23,7 @@ from .quadrature import Quadrature, QuadratureWarning
 from .residuals import ResidualConfig, model_tail, tau_branch
 
 QUAD = Quadrature()
+_BISECT_RTOL = 4 * np.finfo(float).eps  # as in scipy.optimize.bisect
 
 
 @dataclass(frozen=True)
@@ -227,13 +227,32 @@ def population_weighted_score(contam_spec, weight_spec, mu, p=0.5):
     return float(QUAD.integrate(integrand, a, b, points=cuts))
 
 
+def _bisect(f, a, b, fa, xtol=1e-6):
+    """A root of f in [a, b], where f(a) = fa and f(b) differ in sign.
+
+    scipy's `bisect` iteration: halve from the left end until the
+    half-width is below xtol plus four ulps of the midpoint, at most 100
+    times; but f is never evaluated at either end."""
+    a, dm = float(a), float(b) - float(a)
+    for _ in range(100):
+        dm *= 0.5
+        xm = a + dm
+        fm = f(xm)
+        if fm * fa >= 0:
+            a = xm
+        if fm == 0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+            return xm
+    raise RuntimeError("bisection did not converge in 100 halvings")
+
+
 def mixture_root_scan(contam_spec, weight_spec, mu_grid, p=0.5):
     """Roots of the population weighted score of N(mu, 1) over a mu grid.
 
     The score integral is evaluated on the grid, sign changes are
-    bracketed, and each bracket is refined by bisection to 1e-6. Returns
-    the list of roots (possibly empty) in increasing order. A tail
-    fraction p outside (0, 1/2] raises ValueError.
+    bracketed, and each bracket is refined by bisection to 1e-6, reusing
+    the grid value at its left end. Returns the list of roots (possibly
+    empty) in increasing order. A tail fraction p outside (0, 1/2] raises
+    ValueError.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if np.any(np.diff(mu_grid) <= 0):
@@ -245,7 +264,7 @@ def mixture_root_scan(contam_spec, weight_spec, mu_grid, p=0.5):
     values = np.array([psi(mu) for mu in mu_grid])
     roots = []
     for i in np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0):
-        roots.append(bisect(psi, mu_grid[i], mu_grid[i + 1], xtol=1e-6))
+        roots.append(_bisect(psi, mu_grid[i], mu_grid[i + 1], values[i]))
     for i in np.flatnonzero(values == 0.0):
         roots.append(float(mu_grid[i]))
     return sorted(roots)

@@ -17,7 +17,6 @@ observation has one standardized residual z, with F = ndtr(z).
 
 import numpy as np
 from scipy.special import gammaln, ndtr, pdtr, pdtrc
-from scipy.stats import chi2
 
 from .bvn import bvn_cdf
 from .residuals import (EmpiricalFunctions, _normal_tau, _rank_functions,
@@ -51,6 +50,7 @@ class Family:
     discrete = False
     min_subsample = 2    # smallest subsample that identifies the parameters
     obs_shape = ()       # shape of one observation
+    n_params = 1         # length of theta
     positive = ()        # coordinates of theta that must be > 0
 
     def in_space(self, thetas):
@@ -62,7 +62,11 @@ class Family:
         return ok
 
     def check_params(self, theta):
-        """Raise DomainError for a parameter outside the parameter space."""
+        """Raise DomainError for a parameter that is not a vector of
+        `n_params` values or lies outside the parameter space."""
+        if np.shape(theta) != (self.n_params,):
+            raise DomainError(f"{self.name} parameter {theta} must be a "
+                              f"vector of length {self.n_params}")
         if not self.in_space(np.reshape(theta, (1, -1)).astype(float))[0]:
             raise DomainError(f"{self.name} parameter {theta} lies outside "
                               "the parameter space")
@@ -238,6 +242,7 @@ class Normal(NormalErrors):
     """Univariate normal parametrized by (mu, sigma^2)."""
 
     name = "normal"
+    n_params = 2
     positive = (1,)
 
     def pdf(self, theta, x):
@@ -378,6 +383,7 @@ class BivariateNormal(Family):
     kind = "bivariate"
     min_subsample = 3
     obs_shape = (2,)
+    n_params = 5
     positive = (2, 3)
 
     def in_space(self, thetas):
@@ -465,6 +471,7 @@ class NormalRegression(NormalErrors):
     kind = "regression"
     min_subsample = 3
     obs_shape = (2,)
+    n_params = 3
     positive = (2,)
 
     def residuals(self, theta, xy):
@@ -534,8 +541,10 @@ def concentration_ellipse(theta, coverage=0.95):
     """Concentration ellipse of a fitted bivariate normal.
 
     Returns (center, semi_axes, angle): the set of points at squared
-    Mahalanobis distance chi2_2(coverage) from the mean. `angle` is the
-    orientation of the major axis in radians.
+    Mahalanobis distance chi2_2(coverage) from the mean, where the
+    chi-squared quantile with two degrees of freedom has the closed form
+    chi2_2(c) = -2 log(1 - c). `angle` is the orientation of the major
+    axis in radians.
     """
     if not 0 < coverage < 1:
         raise ValueError("coverage must be in (0, 1)")
@@ -545,7 +554,7 @@ def concentration_ellipse(theta, coverage=0.95):
     vals, vecs = np.linalg.eigh(cov)
     if vals.min() <= 0:
         raise DomainError("covariance matrix is not positive definite")
-    r2 = chi2.ppf(coverage, df=2)
+    r2 = -2.0 * np.log1p(-coverage)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     angle = float(np.arctan2(vecs[1, 0], vecs[0, 0]))

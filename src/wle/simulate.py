@@ -66,6 +66,8 @@ class SimulationPlan:
             raise ValueError("contamination levels must lie in [0, 0.5]")
         if self.reps < 1:
             raise ValueError("need at least one replication")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed}: the seed must be >= 0")
         m = max(self.solver_config.bootstrap_m,
                 get_family(SCHEMES[self.scheme][0]).min_subsample)
         if self.n < m:

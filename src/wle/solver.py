@@ -49,6 +49,8 @@ class SolverConfig:
             raise ValueError("bootstrap subsample size must be >= 2")
         if not 0 <= self.eligibility_share < 1:
             raise ValueError("eligibility share must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed}: the seed must be >= 0")
 
 
 @dataclass

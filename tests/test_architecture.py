@@ -2,6 +2,9 @@
 hold no switch on the family's kind or class."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +107,45 @@ def test_solver_holds_no_data_check_of_its_own():
               and isinstance(node.func, ast.Attribute)}
     assert "check_data" in called
     assert not called & {"check_support", "check_shape"}
+
+
+_COLD_RUN = """
+import sys
+import wle
+from wle.diagnostics import (ContaminationSpec, ModelDistribution,
+                             mixture_root_scan)
+from wle.families import concentration_ellipse
+
+for name in wle.dataset_names():
+    wle.load_dataset(name)
+x = wle.load_dataset("newcomb").column("deviation")
+wle.bootstrap_root_search(wle.get_family("normal"), x, wle.ResidualConfig(),
+                          wle.GammaKernel(1.01), wle.SolverConfig())
+concentration_ellipse([0.0, 0.0, 1.0, 2.0, 0.5])
+norm = wle.get_family("normal")
+cs = ContaminationSpec(base=ModelDistribution(norm, (0.0, 1.0)), eps=0.2,
+                       contaminant=ModelDistribution(norm, (5.0, 1.0)))
+assert len(mixture_root_scan(cs, wle.GammaKernel(1.05),
+                             [-1.0, 1.0, 2.5, 4.0, 6.0])) == 3
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_src_imports_only_scipy_special(module):
+    scipy = {name for name in _imported(_tree(module))
+             if name.split(".")[0] == "scipy"}
+    assert all(name.startswith("scipy.special") for name in scipy), scipy
+
+
+def test_run_time_loads_no_heavy_scipy_subpackage():
+    # the estimator needs only scipy.special at run time; the heavier
+    # subpackages are test oracles and would triple the cold start
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", _COLD_RUN], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    loaded = set(out.split())
+    assert "scipy.special" in loaded
+    heavy = {"scipy.stats", "scipy.optimize", "scipy.integrate",
+             "scipy.linalg"}
+    assert not loaded & heavy

@@ -257,6 +257,10 @@ def test_invalid_values_are_usage_errors(capsys, argv):
     # the fruit-fly counts hold zeros: checked before np.log warns
     (["fit", "--model", "poisson", "--data", "drosophila", "--log",
       "--weight-fn", "none"], "--log: the selected columns hold values <= 0"),
+    # a negative seed fails when the configuration is built, by its name
+    (["roots", "--model", "normal", "--data", "newcomb", "--seed", "-1"],
+     "seed = -1: the seed must be >= 0"),
+    (["simulate", "--seed", "-1"], "seed = -1: the seed must be >= 0"),
 ], ids=["ellipse-no-data", "ellipse-no-model", "ellipse-normal-model",
         "bivariate-one-column", "roots-without-weights", "bias-curve-model",
         "scan-data", "bias-curve-columns", "scan-log", "bivariate-p",
@@ -264,7 +268,8 @@ def test_invalid_values_are_usage_errors(capsys, argv):
         "scan-max-iter", "weibull-alpha", "none-alpha", "none-tol", "none-p",
         "scan-y", "scan-coverage", "bias-curve-eps",
         "bias-curve-contaminant-mean", "bias-curve-contaminant-var",
-        "ellipse-y", "log-of-zero"])
+        "ellipse-y", "log-of-zero", "roots-negative-seed",
+        "simulate-negative-seed"])
 def test_missing_or_mismatched_flags_are_usage_errors(capsys, argv, message):
     assert _usage_error(capsys, argv) == f"wle: error: {message}"
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import bisect
 
 from wle.diagnostics import (ContaminationSpec, ModelDistribution,
                              fisher_consistency_check, influence_first_order,
@@ -122,6 +123,29 @@ def test_mixture_scan_contaminated_three_roots():
     assert len(roots) == 3
     assert abs(roots[0] - 0.0) < 0.3
     assert abs(roots[-1] - 5.0) < 0.3
+
+
+@pytest.mark.parametrize("eps, mean", [(0.2, 5.0), (0.1, 4.0), (0.2, 4.0),
+                                       (0.3, 3.0), (0.25, 6.0)])
+def test_scan_roots_equal_scipy_bisect(eps, mean):
+    # the scan's own bisection, which reads f at the left end off the
+    # grid, runs scipy's iteration: the roots agree bit for bit
+    norm = get_family("normal")
+    cs = ContaminationSpec(base=ModelDistribution(norm, (0.0, 1.0)),
+                           eps=eps,
+                           contaminant=ModelDistribution(norm, (mean, 1.0)))
+    spec = GammaKernel(1.05)
+    grid = np.arange(-4.0, mean + 4.0 + 1e-9, 0.25)
+
+    def psi(mu):
+        return population_weighted_score(cs, spec, mu)
+
+    values = np.array([psi(mu) for mu in grid])
+    brackets = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
+    assert brackets.size
+    expected = sorted(bisect(psi, grid[i], grid[i + 1], xtol=1e-6)
+                      for i in brackets)
+    assert mixture_root_scan(cs, spec, grid) == expected
 
 
 def test_contamination_spec_validation():

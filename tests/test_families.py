@@ -44,6 +44,12 @@ def test_parameter_space_is_one_predicate(name, inside, outside):
     for theta in outside:
         with pytest.raises(DomainError, match="outside the parameter space"):
             fam.check_params(theta)
+    # a vector one short or one long is rejected by its length, before
+    # the predicate reads it
+    for theta in (inside[:-1], inside + [1.0]):
+        with pytest.raises(DomainError, match=rf"^{name} parameter .* must "
+                           rf"be a vector of length {len(inside)}$"):
+            fam.check_params(theta)
 
 
 def test_poisson_closed_forms():

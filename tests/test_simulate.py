@@ -20,6 +20,8 @@ def test_plan_validation():
         SimulationPlan(eps_grid=(0.0, 0.7))
     with pytest.raises(ValueError):
         SimulationPlan(reps=0)
+    with pytest.raises(ValueError, match=r"^seed = -1: "):
+        SimulationPlan(seed=-1)
     # the plan's searches draw subsamples of 5: a smaller sample fails
     # when the plan is built, not partway through the run
     for n in (0, 4):

@@ -165,6 +165,22 @@ def test_config_validation():
         SolverConfig(bootstrap_m=1)
     with pytest.raises(ValueError):
         SolverConfig(eligibility_share=1.0)
+    # numpy's SeedSequence would reject it only inside the search
+    with pytest.raises(ValueError, match=r"^seed = -1: "):
+        SolverConfig(seed=-1)
+
+
+@pytest.mark.parametrize("name, theta0", [
+    ("normal", [1.0]), ("normal", [0.0, 1.0, 2.0]),
+    ("exponential", [1.0, 2.0])],
+    ids=["normal-short", "normal-long", "exponential-long"])
+def test_solve_from_rejects_a_start_of_the_wrong_length(name, theta0):
+    fam = get_family(name)
+    x = np.abs(np.random.default_rng(3).normal(size=20))
+    with pytest.raises(DomainError, match=f"must be a vector of length "
+                                          f"{fam.n_params}$"):
+        solve_from(fam, x, ResidualConfig(), GammaKernel(1.01),
+                   SolverConfig(), theta0)
 
 
 def _mixture_sample(seed=42, n=60):
