@@ -20,8 +20,7 @@ from .families import FAMILIES, ellipse_polyline, get_family
 from .residuals import ResidualConfig
 from .simulate import SCHEMES, SimulationPlan, run_simulation
 from .solver import SolverConfig, bootstrap_root_search, solve_from
-from .tables import (REPRODUCTION_SEED, export_report, reproduce_table,
-                     table_ids)
+from .tables import export_report, reproduce_table, table_ids
 from .weights import KERNELS
 
 
@@ -131,29 +130,18 @@ def _cmd_roots(args):
     family, rc, sc = _configs(args)
     x = _load_columns(args)
     rs = bootstrap_root_search(family, x, rc, _weight_spec(args), sc)
-    _emit({"model": args.model, "n": rs.n,
-           "selection_rule": rs.selection_rule,
-           "selected_index": rs.selected_index,
-           "n_restarts": rs.n_restarts, "n_failed": rs.n_failed,
-           "roots": [r.summary() for r in rs.roots],
-           "non_converged": [r.summary() for r in rs.non_converged]})
+    _emit({"model": args.model, **rs.summary()})
     return 0
 
 
 def _cmd_simulate(args):
-    eps_grid = tuple(float(v) for v in args.eps_grid.split(","))
-    plan = SimulationPlan(scheme=args.scheme, eps_grid=eps_grid, n=args.n,
-                          reps=args.reps, seed=args.seed)
-    report = run_simulation(plan)
+    report = run_simulation(SimulationPlan(**_given(args, SimulationPlan)))
     sys.stdout.write(export_report(report, args.format))
     return 0
 
 
 def _cmd_diagnose(args):
-    mode = next((m for m in _MODE_FLAGS if getattr(args, m)), None)
-    if mode is None:
-        raise ValueError("choose one of --bias-curve, --mixture-scan, "
-                         "--ellipse")
+    mode = next(m for m in _MODE_FLAGS if getattr(args, m))
     where = f"--{mode.replace('_', '-')}"
     _reject(args, [n for m, flags in _MODE_FLAGS.items() if m != mode
                    for n in flags], where)
@@ -183,8 +171,8 @@ def _cmd_diagnose(args):
                                  contaminant=contaminant)
         hi = max(4.0, args.contaminant_mean + 4.0)
         grid = np.arange(-4.0, hi + 1e-9, 0.05)
-        p = ResidualConfig.p if args.p is None else args.p
-        roots = mixture_root_scan(spec, _weight_spec(args), grid, p=p)
+        roots = mixture_root_scan(spec, _weight_spec(args), grid,
+                                  **_given(args, ResidualConfig))
         sys.stdout.write(curve_to_csv(["root"], np.asarray(roots)))
         return 0
     if args.model != "bivariate_normal":
@@ -203,7 +191,8 @@ def _cmd_diagnose(args):
 
 
 def _cmd_reproduce(args):
-    report = reproduce_table(args.table_id, reps=args.reps, seed=args.seed)
+    # the Monte-Carlo tables' plans read the replications and the seed
+    report = reproduce_table(args.table_id, **_given(args, SimulationPlan))
     if args.format == "text":
         print("\n".join(report.summary_lines()))
     else:
@@ -222,19 +211,27 @@ def _add_model_args(p, model_required=True):
                    help="apply the natural logarithm to the selected columns")
 
 
+def _add_field_flags(p, config, *names, **options):
+    """A typed `--<field>` flag, None when not given, per named field."""
+    types = {f.name: f.type for f in fields(config)}
+    for name in names or types:
+        p.add_argument(f"--{name.replace('_', '-')}",
+                       **{"type": types[name], **options.get(name, {})})
+
+
 def _add_weight_args(p):
     p.add_argument("--weight-fn", default="gamma",
                    choices=[*KERNELS, "none"])
-    # None when not given: the kernel and `_configs` fill in the field
-    # defaults, and a command rejects the flags that it does not read
-    for name in _KERNEL_FLAGS:  # one flag per tuning field
-        p.add_argument(f"--{name}", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int)
+    for kernel in KERNELS.values():
+        _add_field_flags(p, kernel)
+    _add_field_flags(p, ResidualConfig, "p")
+    _add_field_flags(p, SolverConfig, "tol", "max_iter")
 
 
 def build_parser():
+    def float_list(text):  # a bad list reads "invalid float_list value"
+        return tuple(float(v) for v in text.split(","))
+
     parser = argparse.ArgumentParser(
         prog="wle",
         description="Robust estimation by weighted likelihood: fitting, "
@@ -250,27 +247,20 @@ def build_parser():
     p = sub.add_parser("roots", help="bootstrap multi-root search")
     _add_model_args(p)
     _add_weight_args(p)
-    p.add_argument("--bootstrap-b", type=int,
-                   default=SolverConfig.bootstrap_b)
-    p.add_argument("--bootstrap-m", type=int,
-                   default=SolverConfig.bootstrap_m)
-    p.add_argument("--seed", type=int, default=SolverConfig.seed)
+    _add_field_flags(p, SolverConfig, "bootstrap_b", "bootstrap_m", "seed")
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("simulate", help="contamination Monte Carlo study")
-    p.add_argument("--scheme", default="scale", choices=list(SCHEMES))
-    p.add_argument("--eps-grid", default="0,0.1,0.2,0.3,0.4,0.5")
-    p.add_argument("--n", type=int, default=30)
-    p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_field_flags(p, SimulationPlan, scheme={"choices": list(SCHEMES)},
+                     eps_grid={"type": float_list})
     p.add_argument("--format", default="json", choices=["json", "csv"])
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("diagnose", help="influence, mixture-root and "
                                         "ellipse diagnostics (CSV output)")
-    p.add_argument("--bias-curve", action="store_true")
-    p.add_argument("--mixture-scan", action="store_true")
-    p.add_argument("--ellipse", action="store_true")
+    modes = p.add_mutually_exclusive_group(required=True)
+    for mode in _MODE_FLAGS:
+        modes.add_argument(f"--{mode.replace('_', '-')}", action="store_true")
     for mode, flags in _MODE_FLAGS.items():  # None when not given
         for name, value in flags.items():
             p.add_argument(f"--{name.replace('_', '-')}", type=float,
@@ -282,9 +272,8 @@ def build_parser():
 
     p = sub.add_parser("reproduce", help="re-run a reference table")
     p.add_argument("table_id", choices=table_ids())
-    p.add_argument("--reps", type=int, default=1000,
-                   help="replications for the Monte-Carlo tables")
-    p.add_argument("--seed", type=int, default=REPRODUCTION_SEED)
+    _add_field_flags(p, SimulationPlan, "reps", "seed", reps={
+        "help": "replications for the Monte-Carlo tables"})
     p.add_argument("--format", default="text",
                    choices=["text", "json", "csv"])
     p.add_argument("--strict", action="store_true",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .families import DegenerateFitError, get_family
 from .residuals import ResidualConfig
-from .solver import SolverConfig, bootstrap_root_search
+from .solver import SolverConfig, bootstrap_root_search, check_integers
 from .weights import GammaKernel
 
 REPORT_VERSION = 1
@@ -59,6 +59,7 @@ class SimulationPlan:
     solver_config = SolverConfig(eligibility_share=0.55, bootstrap_m=5)
 
     def __post_init__(self):
+        check_integers(self, "n", "reps", "seed")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; "
                              f"choose from {sorted(SCHEMES)}")
@@ -68,11 +69,8 @@ class SimulationPlan:
             raise ValueError("need at least one replication")
         if self.seed < 0:
             raise ValueError(f"seed = {self.seed}: the seed must be >= 0")
-        m = max(self.solver_config.bootstrap_m,
-                get_family(SCHEMES[self.scheme][0]).min_subsample)
-        if self.n < m:
-            raise ValueError(f"n = {self.n}: the sample size must be at "
-                             f"least the bootstrap subsample size {m}")
+        family = get_family(SCHEMES[self.scheme][0])
+        self.solver_config.subsample_size(family, self.n)
 
 
 def _short_label(spec):
@@ -176,6 +174,7 @@ def run_simulation(plan):
             e = np.asarray(errors[je])
             if e.size == 0:
                 mse[ie, je] = mc_se[ie, je] = var[ie, je] = np.nan
+                root_count[ie, je] = np.nan
                 continue
             mse[ie, je] = e.mean()
             mc_se[ie, je] = e.std(ddof=1) / np.sqrt(e.size) if e.size > 1 else 0.0

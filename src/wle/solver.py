@@ -12,7 +12,7 @@ single batch, for every family; a single start is the batch of one.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,6 +39,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, "max_iter", "bootstrap_b", "bootstrap_m", "seed")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tolerance must be finite and > 0")
         if self.max_iter < 1:
@@ -51,6 +52,21 @@ class SolverConfig:
             raise ValueError("eligibility share must be in [0, 1)")
         if self.seed < 0:
             raise ValueError(f"seed = {self.seed}: the seed must be >= 0")
+
+    def subsample_size(self, family, n):
+        """The bootstrap subsample size for `family`; a smaller n raises."""
+        if n < (m := max(self.bootstrap_m, family.min_subsample)):
+            raise ValueError(f"n = {n}: the sample size must be at least "
+                             f"the bootstrap subsample size {m}")
+        return m
+
+
+def check_integers(config, *names):
+    """A ValueError for the first of the fields `names` of `config` that
+    does not hold an integer."""
+    for name in names:
+        if not isinstance(value := getattr(config, name), (int, np.integer)):
+            raise ValueError(f"{name} = {value!r}: {name} must be an integer")
 
 
 @dataclass
@@ -86,6 +102,11 @@ class RootSet:
     @property
     def selected(self):
         return self.roots[self.selected_index]
+
+    def summary(self):
+        """Every field, a list of roots as their summaries."""
+        return {f.name: [r.summary() for r in v] if f.type is list else v
+                for f in fields(self) for v in [getattr(self, f.name)]}
 
 
 def _checked_data(family, data, residual_config):
@@ -249,7 +270,7 @@ def _subsample_starts(family, data, solver_config):
     weighted fit; a degenerate or non-finite fit skips its subsample.
     """
     n, b = len(data), solver_config.bootstrap_b
-    m = max(solver_config.bootstrap_m, family.min_subsample)
+    m = solver_config.subsample_size(family, n)
     idx = _subsample_indices(solver_config.seed, b, n, m)
     counts = np.zeros((b, n))
     np.add.at(counts, (np.arange(b)[:, None], idx), 1.0)
@@ -312,8 +333,6 @@ def bootstrap_root_search(family, data, residual_config, weight_spec,
     """
     data = _checked_data(family, data, residual_config)
     n = len(data)
-    if n < max(solver_config.bootstrap_m, family.min_subsample):
-        raise ValueError("sample smaller than the bootstrap subsample size")
     starts, skipped = _subsample_starts(family, data, solver_config)
     starts.insert(0, family.weighted_fit_batch(data, np.ones((1, n)))[0])
     roots = _solve_batch(family, data, residual_config, weight_spec,

@@ -5,11 +5,16 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from wle.families import Family
+from wle.residuals import ResidualConfig
+from wle.simulate import SimulationPlan
+from wle.solver import SolverConfig
+from wle.weights import KERNELS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wle"
 
@@ -149,3 +154,50 @@ def test_run_time_loads_no_heavy_scipy_subpackage():
     heavy = {"scipy.stats", "scipy.optimize", "scipy.integrate",
              "scipy.linalg"}
     assert not loaded & heavy
+
+
+def _field_names():
+    return {f.name for config in (SolverConfig, ResidualConfig,
+                                  SimulationPlan, *KERNELS.values())
+            for f in fields(config)}
+
+
+def test_cli_flags_restate_no_field_default():
+    # a flag named after a config field, or built from a name, is None
+    # when not given, so the field default is its only home
+    names = _field_names()
+    for node in ast.walk(_tree("cli.py")):
+        if not (isinstance(node, ast.Call) and node.args
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            continue
+        flag = node.args[0]
+        named = (not isinstance(flag, ast.Constant)
+                 or flag.value.lstrip("-").replace("-", "_") in names)
+        if named:
+            assert "default" not in {k.arg for k in node.keywords}, \
+                node.lineno
+
+
+def _readers(attr):
+    """(module, innermost function) of every read of `.attr` in src."""
+    found = set()
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.ctx, ast.Load)):
+            found.add((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in SRC.glob("*.py"):
+        visit(_tree(path.name), path.name, None)
+    return found
+
+
+def test_one_function_reads_the_minimum_subsample():
+    # the subsample size max(bootstrap_m, min_subsample) and its check on
+    # n have one home
+    assert _readers("min_subsample") == {("solver.py", "subsample_size")}

@@ -8,9 +8,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from wle import cli
 from wle.cli import _configs, _weight_spec, build_parser, main
 from wle.residuals import ResidualConfig
-from wle.solver import SolverConfig
+from wle.simulate import SimulationPlan, run_simulation
+from wle.solver import RootSet, SolverConfig
+from wle.tables import reproduce_table
 from wle.weights import DEFAULT_SPECS, KERNELS
 
 
@@ -77,6 +80,9 @@ def test_roots_reports_three_roots(capsys):
     assert mus[1] == pytest.approx(12.05, abs=0.05)
     assert mus[2] == pytest.approx(14.06, abs=0.05)
     assert d["selection_rule"] in ("highest", "second-highest")
+    # every field of the root set, the skipped subsamples among them
+    assert list(d) == ["model", *(f.name for f in fields(RootSet))]
+    assert d["n_skipped_subsamples"] == 4
 
 
 def test_simulate_csv(capsys):
@@ -172,6 +178,32 @@ def test_solver_defaults_come_from_solver_config(command):
     assert _configs(args)[1:] == (ResidualConfig(), SolverConfig())
 
 
+def test_simulate_defaults_come_from_the_plan(monkeypatch, capsys):
+    plans = []
+
+    def run(plan):
+        plans.append(plan)
+        return run_simulation(SimulationPlan(eps_grid=(0.0,), reps=1))
+
+    monkeypatch.setattr(cli, "run_simulation", run)
+    assert _run(capsys, "simulate")[0] == 0
+    assert plans == [SimulationPlan()]
+
+
+def test_reproduce_defaults_come_from_reproduce_table(monkeypatch, capsys):
+    calls = []
+
+    def reproduce(table_id, **kw):
+        calls.append(kw)
+        return reproduce_table(table_id, **kw)
+
+    monkeypatch.setattr(cli, "reproduce_table", reproduce)
+    assert _run(capsys, "reproduce", "table4")[0] == 0
+    assert _run(capsys, "reproduce", "table4", "--reps", "3", "--seed",
+                "1")[0] == 0
+    assert calls == [{}, {"reps": 3, "seed": 1}]
+
+
 def test_given_solver_flags_reach_the_configs():
     args = build_parser().parse_args(["roots", "--model", "normal", "--data",
                                       "newcomb", "--p", "0.3", "--tol",
@@ -261,6 +293,12 @@ def test_invalid_values_are_usage_errors(capsys, argv):
     (["roots", "--model", "normal", "--data", "newcomb", "--seed", "-1"],
      "seed = -1: the seed must be >= 0"),
     (["simulate", "--seed", "-1"], "seed = -1: the seed must be >= 0"),
+    # the search and the simulation plan state the subsample rule alike
+    (["roots", "--model", "normal", "--data", "newcomb", "--bootstrap-m",
+      "100"], "n = 66: the sample size must be at least the bootstrap "
+              "subsample size 100"),
+    (["simulate", "--n", "4"], "n = 4: the sample size must be at least "
+                               "the bootstrap subsample size 5"),
 ], ids=["ellipse-no-data", "ellipse-no-model", "ellipse-normal-model",
         "bivariate-one-column", "roots-without-weights", "bias-curve-model",
         "scan-data", "bias-curve-columns", "scan-log", "bivariate-p",
@@ -269,9 +307,22 @@ def test_invalid_values_are_usage_errors(capsys, argv):
         "scan-y", "scan-coverage", "bias-curve-eps",
         "bias-curve-contaminant-mean", "bias-curve-contaminant-var",
         "ellipse-y", "log-of-zero", "roots-negative-seed",
-        "simulate-negative-seed"])
+        "simulate-negative-seed", "roots-subsample-size",
+        "simulate-subsample-size"])
 def test_missing_or_mismatched_flags_are_usage_errors(capsys, argv, message):
     assert _usage_error(capsys, argv) == f"wle: error: {message}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--eps-grid", "0,x"],
+     "argument --eps-grid: invalid float_list value: '0,x'"),
+    (["diagnose", "--bias-curve", "--mixture-scan"],
+     "argument --mixture-scan: not allowed with argument --bias-curve"),
+    (["diagnose", "--mixture-scan", "--ellipse"],
+     "argument --ellipse: not allowed with argument --mixture-scan"),
+], ids=["simulate-eps-grid", "diagnose-two-modes", "diagnose-scan-ellipse"])
+def test_parse_errors_name_the_flag(capsys, argv, message):
+    assert _usage_error(capsys, argv) == f"wle {argv[0]}: error: {message}"
 
 
 def test_unreadable_data_file_is_a_usage_error(capsys, tmp_path):
@@ -300,7 +351,8 @@ def test_kernel_flags_carry_the_field_defaults(command):
     # every tuning field of every kernel is a flag that is None when not
     # given, so the kernel fills in its field default: no flag gives the
     # kernel's default spec
-    args = build_parser().parse_args([command, "--model", "normal",
+    mode = ["--bias-curve"] * (command == "diagnose")
+    args = build_parser().parse_args([command, *mode, "--model", "normal",
                                       "--data", "newcomb"])
     for name, kernel in KERNELS.items():
         for f in fields(kernel):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from wle import simulate
+from wle.families import DegenerateFitError
 from wle.simulate import (SCHEMES, SimulationPlan, SimulationReport,
                           run_simulation)
 
@@ -28,6 +30,22 @@ def test_plan_validation():
         with pytest.raises(ValueError, match=rf"^n = {n}: .* size 5$"):
             SimulationPlan(n=n)
     assert SimulationPlan(n=5).n == 5
+    for name, value in (("n", 30.5), ("reps", 2.5), ("seed", 1.5)):
+        with pytest.raises(ValueError, match=rf"^{name} = {value}: {name} "
+                                             "must be an integer$"):
+            SimulationPlan(**{name: value})
+
+
+def test_a_cell_where_every_search_fails_reads_nan(monkeypatch):
+    def fail(*args):
+        raise DegenerateFitError("no converged roots found")
+
+    monkeypatch.setattr(simulate, "bootstrap_root_search", fail)
+    rep = run_simulation(_small_plan(eps_grid=(0.1,), reps=3))
+    assert rep.failures.tolist() == [[0, 3, 3]]
+    assert rep.mean_root_count[0, 0] == 1.0
+    for values in (rep.mse, rep.mc_se, rep.var, rep.mean_root_count):
+        assert np.isfinite(values[0, 0]) and np.all(np.isnan(values[0, 1:]))
 
 
 def test_report_shapes_and_labels():

@@ -168,6 +168,13 @@ def test_config_validation():
     # numpy's SeedSequence would reject it only inside the search
     with pytest.raises(ValueError, match=r"^seed = -1: "):
         SolverConfig(seed=-1)
+    # a count that is not an integer fails by its field's name, not inside
+    # the search
+    for name, value in (("seed", 1.5), ("bootstrap_b", 2.5),
+                        ("max_iter", 2.5), ("bootstrap_m", 3.5)):
+        with pytest.raises(ValueError, match=rf"^{name} = {value}: {name} "
+                                             "must be an integer$"):
+            SolverConfig(**{name: value})
 
 
 @pytest.mark.parametrize("name, theta0", [
