@@ -14,7 +14,7 @@ import numpy as np
 
 
 class DatasetError(ValueError):
-    """Unknown dataset name or corrupted bundle."""
+    """Unknown dataset name or column, or corrupted bundle."""
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,8 @@ class Dataset:
 
     def column(self, name):
         """One column as a numpy array (float when fully numeric)."""
+        if name not in self.columns:
+            raise DatasetError(f"no column {name!r}; columns: {self.columns}")
         j = self.columns.index(name)
         vals = [r[j] for r in self.records]
         if all(isinstance(v, float) for v in vals):

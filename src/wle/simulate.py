@@ -11,6 +11,7 @@ replication-index), so reports are reproducible bit-for-bit.
 import dataclasses
 import json
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -63,8 +64,12 @@ class SimulationPlan:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; "
                              f"choose from {sorted(SCHEMES)}")
-        if any(not 0.0 <= e <= 0.5 for e in self.eps_grid):
-            raise ValueError("contamination levels must lie in [0, 0.5]")
+        eps = tuple(self.eps_grid) if np.iterable(self.eps_grid) else ()
+        if not eps or not all(isinstance(e, Real) and 0.0 <= e <= 0.5
+                              for e in eps):
+            raise ValueError(f"eps_grid = {self.eps_grid!r}: eps_grid must be "
+                             "a non-empty sequence of levels in [0, 0.5]")
+        object.__setattr__(self, "eps_grid", eps)  # a list would not hash
         if self.reps < 1:
             raise ValueError("need at least one replication")
         if self.seed < 0:
@@ -93,8 +98,9 @@ class SimulationReport:
     failures: np.ndarray    # replications without any converged root
 
     def to_dict(self):
-        # every field in its JSON form, a list for arrays and tuples
-        plain = {np.ndarray: np.ndarray.tolist, tuple: list}
+        # every field in its JSON form; a failed cell's NaN is null
+        plain = {np.ndarray: lambda a: np.where(np.isnan(a), None, a).tolist(),
+                 tuple: list}
         return {"version": REPORT_VERSION, **{
             f.name: plain.get(f.type, f.type)(getattr(self, f.name))
             for f in dataclasses.fields(self)}}
@@ -106,9 +112,12 @@ class SimulationReport:
     def from_dict(cls, d):
         if d.get("version") != REPORT_VERSION:
             raise ValueError(f"unsupported report version {d.get('version')}")
-        # each field rebuilt by its type; JSON integers read back as an
-        # integer array, so failures stay int
-        return cls(**{f.name: {np.ndarray: np.asarray}.get(f.type, f.type)(
+        # each field rebuilt by its type: null reads back as NaN, and JSON
+        # integers as an integer array, so failures stay int
+        def array(values):
+            a = np.asarray(values)
+            return a.astype(float) if a.dtype == object else a
+        return cls(**{f.name: {np.ndarray: array}.get(f.type, f.type)(
             d[f.name]) for f in dataclasses.fields(cls)})
 
     @classmethod
@@ -136,17 +145,12 @@ def run_simulation(plan):
     family_name, target, _, _ = SCHEMES[plan.scheme]
     family = get_family(family_name)
     labels = ("mle", *(_short_label(s) for s in plan.weight_specs))
-    shape = (len(plan.eps_grid), len(labels))
-    mse = np.zeros(shape)
-    mc_se = np.zeros(shape)
-    var = np.zeros(shape)
-    root_count = np.zeros(shape)
-    failures = np.zeros(shape, dtype=int)
+    # each replication's estimate and root count per (eps, replication,
+    # estimator); both NaN where the search failed
+    est = np.full((len(plan.eps_grid), plan.reps, len(labels)), np.nan)
+    roots = est.copy()
 
     for ie, eps in enumerate(plan.eps_grid):
-        errors = [[] for _ in labels]
-        estimates = [[] for _ in labels]
-        counts = [[] for _ in labels]
         for rep in range(plan.reps):
             ss = np.random.SeedSequence(plan.seed, spawn_key=(ie, rep))
             rng = np.random.Generator(np.random.Philox(ss))
@@ -154,34 +158,27 @@ def run_simulation(plan):
             solver_seed = int(ss.generate_state(1, dtype=np.uint32)[0])
             sc = dataclasses.replace(plan.solver_config, seed=solver_seed)
 
-            est = family.mle(x)[0]
-            errors[0].append((est - target) ** 2)
-            estimates[0].append(est)
-            counts[0].append(1)
-
+            est[ie, rep, 0], roots[ie, rep, 0] = family.mle(x)[0], 1
             for je, spec in enumerate(plan.weight_specs, start=1):
                 try:
                     rs = bootstrap_root_search(family, x, plan.residual_config,
                                                spec, sc)
                 except DegenerateFitError:
-                    failures[ie, je] += 1
                     continue
-                est = rs.selected.theta[0]
-                errors[je].append((est - target) ** 2)
-                estimates[je].append(est)
-                counts[je].append(len(rs.roots))
-        for je in range(len(labels)):
-            e = np.asarray(errors[je])
-            if e.size == 0:
-                mse[ie, je] = mc_se[ie, je] = var[ie, je] = np.nan
-                root_count[ie, je] = np.nan
-                continue
-            mse[ie, je] = e.mean()
-            mc_se[ie, je] = e.std(ddof=1) / np.sqrt(e.size) if e.size > 1 else 0.0
-            var[ie, je] = np.var(estimates[je])
-            root_count[ie, je] = float(np.mean(counts[je]))
+                est[ie, rep, je] = rs.selected.theta[0]
+                roots[ie, rep, je] = len(rs.roots)
 
-    return SimulationReport(scheme=plan.scheme, n=plan.n, reps=plan.reps,
-                            seed=plan.seed, eps_grid=tuple(plan.eps_grid),
-                            estimators=labels, mse=mse, mc_se=mc_se, var=var,
-                            mean_root_count=root_count, failures=failures)
+    failures = np.isnan(est).sum(axis=1)
+    # mse, mc_se, var and mean root count of each cell over its successful
+    # replications; NaN in a cell where every search failed
+    cells = np.full((4, *failures.shape), np.nan)
+    for ie, je in np.argwhere(failures < plan.reps):
+        ok = ~np.isnan(est[ie, :, je])
+        e = est[ie, ok, je]
+        err = (e - target) ** 2
+        se = err.std(ddof=1) / np.sqrt(err.size) if err.size > 1 else 0.0
+        cells[:, ie, je] = err.mean(), se, np.var(e), roots[ie, ok, je].mean()
+    return SimulationReport(
+        scheme=plan.scheme, n=plan.n, reps=plan.reps, seed=plan.seed,
+        eps_grid=plan.eps_grid, estimators=labels, failures=failures,
+        **dict(zip(("mse", "mc_se", "var", "mean_root_count"), cells)))

@@ -120,13 +120,13 @@ def export_report(report, fmt="json"):
                       f"{c['reference']!r},{c['deviation']!r},{c['tol']!r},"
                       f"{c['kind']},{c['passed']}\n")
     else:
-        buf.write("scheme,eps,estimator,mse,mc_se,var,mean_root_count,failures\n")
-        for ie, eps in enumerate(d["eps_grid"]):
-            for je, est in enumerate(d["estimators"]):
-                buf.write(f"{d['scheme']},{eps},{est},{d['mse'][ie][je]!r},"
-                          f"{d['mc_se'][ie][je]!r},{d['var'][ie][je]!r},"
-                          f"{d['mean_root_count'][ie][je]!r},"
-                          f"{d['failures'][ie][je]}\n")
+        # from the arrays, not the JSON form, so a failed cell reads nan
+        cols = ("mse", "mc_se", "var", "mean_root_count", "failures")
+        buf.write(",".join(("scheme", "eps", "estimator", *cols)) + "\n")
+        for ie, je in np.ndindex(report.mse.shape):
+            row = (repr(getattr(report, c)[ie, je].item()) for c in cols)
+            buf.write(",".join([report.scheme, f"{report.eps_grid[ie]}",
+                                report.estimators[je], *row]) + "\n")
     return buf.getvalue()
 
 

@@ -201,3 +201,16 @@ def test_one_function_reads_the_minimum_subsample():
     # the subsample size max(bootstrap_m, min_subsample) and its check on
     # n have one home
     assert _readers("min_subsample") == {("solver.py", "subsample_size")}
+
+
+def test_run_simulation_keeps_no_per_estimator_list():
+    # a study's estimates and root counts are arrays filled in place;
+    # every report column and failure count is a reduction of them
+    run = next(node for node in ast.walk(_tree("simulate.py"))
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "run_simulation")
+    appends = [node.lineno for node in ast.walk(run)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "append"]
+    assert appends == []

@@ -30,6 +30,12 @@ def test_unknown_name():
         load_dataset("galaxy")
 
 
+def test_unknown_column_names_it_and_the_columns():
+    with pytest.raises(DatasetError,
+                       match=r"^no column 'nope'; columns: \('deviation',\)$"):
+        load_dataset("newcomb").column("nope")
+
+
 def test_drosophila_frequency_table():
     counts = load_dataset("drosophila").column("daughters")
     assert np.sum(counts == 0) == 23

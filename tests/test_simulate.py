@@ -1,5 +1,7 @@
 """Monte-Carlo engine: determinism, serialization, statistical sanity."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from wle import simulate
 from wle.families import DegenerateFitError
 from wle.simulate import (SCHEMES, SimulationPlan, SimulationReport,
                           run_simulation)
+from wle.tables import export_report
 
 
 def _small_plan(**kw):
@@ -34,6 +37,14 @@ def test_plan_validation():
         with pytest.raises(ValueError, match=rf"^{name} = {value}: {name} "
                                              "must be an integer$"):
             SimulationPlan(**{name: value})
+    # eps_grid is a non-empty sequence of levels, kept as a tuple so the
+    # frozen plan hashes
+    for grid in (0.1, (), "0.1"):
+        with pytest.raises(ValueError, match=r"^eps_grid = .*: eps_grid must"):
+            SimulationPlan(eps_grid=grid)
+    plan = SimulationPlan(eps_grid=[0.0, 0.2])
+    assert plan.eps_grid == (0.0, 0.2)
+    assert hash(plan) == hash(SimulationPlan(eps_grid=(0.0, 0.2)))
 
 
 def test_a_cell_where_every_search_fails_reads_nan(monkeypatch):
@@ -46,6 +57,75 @@ def test_a_cell_where_every_search_fails_reads_nan(monkeypatch):
     assert rep.mean_root_count[0, 0] == 1.0
     for values in (rep.mse, rep.mc_se, rep.var, rep.mean_root_count):
         assert np.isfinite(values[0, 0]) and np.all(np.isnan(values[0, 1:]))
+
+
+def test_a_cell_where_some_searches_fail_reduces_its_survivors(monkeypatch):
+    # every third search fails; each cell's columns are the usual
+    # reductions over the replications whose search succeeded, and the
+    # searches run per replication, one per kernel in order
+    search, calls, found = simulate.bootstrap_root_search, [], {}
+
+    def every_third(family, x, rc, spec, sc):
+        calls.append(spec)
+        if len(calls) % 3 == 0:
+            raise DegenerateFitError("no converged roots found")
+        rs = search(family, x, rc, spec, sc)
+        found[len(calls) - 1] = rs.selected.theta[0], len(rs.roots)
+        return rs
+
+    monkeypatch.setattr(simulate, "bootstrap_root_search", every_third)
+    plan = _small_plan(reps=7)
+    rep = run_simulation(plan)
+    k = len(plan.weight_specs)
+    assert len(calls) == len(plan.eps_grid) * plan.reps * k
+    target = SCHEMES[plan.scheme][1]
+    for ie in range(len(plan.eps_grid)):
+        for je, spec in enumerate(plan.weight_specs, start=1):
+            idx = [(ie * plan.reps + r) * k + je - 1 for r in range(plan.reps)]
+            assert all(calls[i] == spec for i in idx)
+            ok = [found[i] for i in idx if i in found]
+            assert 0 < len(ok) < plan.reps
+            assert rep.failures[ie, je] + len(ok) == plan.reps
+            est = np.array([e for e, _ in ok])
+            err = (est - target) ** 2
+            np.testing.assert_allclose(
+                [rep.mse[ie, je], rep.mc_se[ie, je], rep.var[ie, je],
+                 rep.mean_root_count[ie, je]],
+                [err.mean(), err.std(ddof=1) / np.sqrt(len(ok)), est.var(),
+                 np.mean([c for _, c in ok])], rtol=1e-12)
+    assert rep.failures[:, 0].tolist() == [0, 0]
+
+
+def _no_nan_token(name):
+    raise AssertionError(f"JSON holds a bare {name} token")
+
+
+@pytest.mark.parametrize("fails", ["second_kernel", "every_search"])
+def test_failed_cells_are_json_null_and_round_trip(monkeypatch, fails):
+    search = simulate.bootstrap_root_search
+    second = SimulationPlan.weight_specs[1]
+
+    def patched(family, x, rc, spec, sc):
+        if fails == "every_search" or spec == second:
+            raise DegenerateFitError("no converged roots found")
+        return search(family, x, rc, spec, sc)
+
+    monkeypatch.setattr(simulate, "bootstrap_root_search", patched)
+    rep = run_simulation(_small_plan(reps=3))
+    failed = 2 if fails == "second_kernel" else 1
+    assert np.isnan(rep.mse[:, failed:]).all() and rep == rep
+    text = rep.to_json()
+    d = json.loads(text, parse_constant=_no_nan_token)
+    assert all(row[failed:] == [None] * (3 - failed) for row in d["mse"])
+    back = SimulationReport.from_json(text)
+    assert back == rep and back.failures.dtype.kind == "i"
+    assert back.mse.dtype == float and np.isnan(back.mse[:, failed:]).all()
+    np.testing.assert_array_equal(back.mean_root_count, rep.mean_root_count)
+    assert back.to_json() == text
+    # the CSV keeps nan for a failed cell
+    rows = export_report(rep, "csv").splitlines()[1:]
+    assert [row.endswith(",nan,nan,nan,nan,3") for row in rows] == [
+        je >= failed for ie in range(2) for je in range(3)]
 
 
 def test_report_shapes_and_labels():
