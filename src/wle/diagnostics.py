@@ -38,13 +38,15 @@ class ModelDistribution:
     theta: tuple
 
     def __post_init__(self):
-        self.family.check_params(np.asarray(self.theta, dtype=float))
+        # the checked floats, kept as a tuple so the frozen spec hashes
+        object.__setattr__(self, "theta",
+                           tuple(self.family.check_params(self.theta)))
 
     def cdf_survival(self, x):
-        return self.family.cdf_survival(np.asarray(self.theta, float), x)
+        return self.family.cdf_survival(self.theta, x)
 
     def pdf(self, x):
-        return self.family.pdf(np.asarray(self.theta, float), x)
+        return self.family.pdf(self.theta, x)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -88,8 +90,7 @@ def fisher_consistency_check(family, theta, residual_config, weight_spec):
     result must equal the plain score integral, i.e. the zero vector; the
     returned value quantifies how far the quadrature is from that.
     """
-    theta = np.asarray(theta, dtype=float)
-    family.check_params(theta)
+    theta = family.check_params(theta)
     density = family.pmf if family.discrete else family.pdf
 
     def integrand(x):
@@ -125,8 +126,7 @@ def influence_first_order(family, theta, weight_spec, y):
     I(theta)^{-1} u_theta(y). A y outside the support, or where the model
     tail is zero, raises.
     """
-    theta = np.asarray(theta, dtype=float)
-    family.check_params(theta)
+    theta = family.check_params(theta)
     if family.discrete:
         raise NotImplementedError("influence analysis covers the continuous "
                                   "univariate families")
@@ -145,9 +145,8 @@ def influence_second_order(family, theta, weight_spec, y):
     where the integrals cannot be certified (the exponential within about
     1e-11 of y = 0) this raises ValueError.
     """
-    theta = np.asarray(theta, dtype=float)
-    family.check_params(theta)
-    if theta.size != 1 or family.discrete:
+    theta = family.check_params(theta)
+    if family.n_params != 1 or family.discrete:
         raise NotImplementedError("second-order analysis covers the "
                                   "continuous scalar-parameter families")
     y = _influence_point(family, theta, y)
@@ -194,7 +193,7 @@ def influence_report(family, theta, weight_spec, y):
     t_prime = influence_first_order(family, theta, weight_spec, y)
     t_second = None
     curve = None
-    if np.asarray(theta, dtype=float).size == 1:
+    if family.n_params == 1:
         t_second = influence_second_order(family, theta, weight_spec, y)
         eps = np.linspace(0.0, 0.1, 21)
         bias = eps * float(t_prime[0]) + 0.5 * eps**2 * t_second

@@ -62,14 +62,17 @@ class Family:
         return ok
 
     def check_params(self, theta):
-        """Raise DomainError for a parameter that is not a vector of
-        `n_params` values or lies outside the parameter space."""
+        """theta as a float vector; raise DomainError for a parameter that
+        is not a vector of `n_params` values or lies outside the parameter
+        space."""
         if np.shape(theta) != (self.n_params,):
             raise DomainError(f"{self.name} parameter {theta} must be a "
                               f"vector of length {self.n_params}")
-        if not self.in_space(np.reshape(theta, (1, -1)).astype(float))[0]:
+        theta = np.asarray(theta, dtype=float)
+        if not self.in_space(theta[None, :])[0]:
             raise DomainError(f"{self.name} parameter {theta} lies outside "
                               "the parameter space")
+        return theta
 
     def check_support(self, x):
         """Raise DomainError for observations outside the support, which
@@ -206,7 +209,7 @@ class Poisson(Family):
             raise DomainError("Poisson observations must be nonnegative integers")
 
     def pmf(self, theta, x):
-        lam = float(np.asarray(theta).reshape(-1)[0])
+        lam = theta[0]
         x = _asarray1d(x)
         return np.exp(x * np.log(lam) - lam - gammaln(x + 1))
 
@@ -225,12 +228,11 @@ class Poisson(Family):
         return np.minimum(F, 1.0), np.minimum(S, 1.0)
 
     def fisher_information(self, theta):
-        lam = float(np.asarray(theta).reshape(-1)[0])
-        return np.array([[1.0 / lam]])
+        return np.array([[1.0 / theta[0]]])
 
     def integration_range(self, theta):
         # the summation grid is the integers in this range
-        lam = float(np.asarray(theta).reshape(-1)[0])
+        lam = theta[0]
         return 0.0, float(int(lam + 12 * np.sqrt(lam) + 30))
 
     def weighted_fit_batch(self, x, w):
@@ -295,7 +297,7 @@ class Exponential(Family):
             raise DomainError("exponential observations must be nonnegative")
 
     def pdf(self, theta, x):
-        lam = float(np.asarray(theta).reshape(-1)[0])
+        lam = theta[0]
         return lam * np.exp(-lam * _asarray1d(x))
 
     def score(self, theta, x):
@@ -303,33 +305,28 @@ class Exponential(Family):
         return (1.0 / lam - _asarray1d(x))[..., None]
 
     def score_curvature(self, theta, x):
-        lam = float(np.asarray(theta).reshape(-1)[0])
-        return np.full(_asarray1d(x).size, 2.0 / lam**3)
+        return np.full(_asarray1d(x).size, 2.0 / theta[0]**3)
 
     def cdf_survival(self, theta, x):
         lx = np.asarray(theta, dtype=float)[..., 0:1] * _asarray1d(x)
         return -np.expm1(-lx), np.exp(-lx)
 
     def cdf_gradient(self, theta, x):
-        lam = float(np.asarray(theta).reshape(-1)[0])
+        lam = theta[0]
         x = _asarray1d(x)
         return (x * np.exp(-lam * x))[:, None]
 
     def score_jacobian(self, theta, x):
-        lam = float(np.asarray(theta).reshape(-1)[0])
-        n = _asarray1d(x).size
-        return np.full((n, 1, 1), -1.0 / lam**2)
+        return np.full((_asarray1d(x).size, 1, 1), -1.0 / theta[0]**2)
 
     def fisher_information(self, theta):
-        lam = float(np.asarray(theta).reshape(-1)[0])
-        return np.array([[1.0 / lam**2]])
+        return np.array([[1.0 / theta[0]**2]])
 
     def integration_range(self, theta):
-        lam = float(np.asarray(theta).reshape(-1)[0])
-        return 0.0, -np.log(TAIL_MASS) / lam
+        return 0.0, -np.log(TAIL_MASS) / theta[0]
 
     def median(self, theta):
-        return float(np.log(2.0) / np.asarray(theta).reshape(-1)[0])
+        return float(np.log(2.0) / theta[0])
 
     def weighted_fit_batch(self, x, w):
         m = w @ x / _weight_sums(w)
@@ -366,11 +363,10 @@ class NormalLocation(NormalErrors):
         return np.array([[1.0]])
 
     def integration_range(self, theta):
-        mu = float(np.asarray(theta).reshape(-1)[0])
-        return mu - 10.0, mu + 10.0
+        return theta[0] - 10.0, theta[0] + 10.0
 
     def median(self, theta):
-        return float(np.asarray(theta).reshape(-1)[0])
+        return float(theta[0])
 
     def weighted_fit_batch(self, x, w):
         return (w @ x / _weight_sums(w))[:, None]
@@ -544,11 +540,12 @@ def concentration_ellipse(theta, coverage=0.95):
     Mahalanobis distance chi2_2(coverage) from the mean, where the
     chi-squared quantile with two degrees of freedom has the closed form
     chi2_2(c) = -2 log(1 - c). `angle` is the orientation of the major
-    axis in radians.
+    axis in radians. A theta that fails the bivariate family's
+    `check_params` raises DomainError.
     """
     if not 0 < coverage < 1:
         raise ValueError("coverage must be in (0, 1)")
-    mu1, mu2, s1, s2, rho = theta
+    mu1, mu2, s1, s2, rho = FAMILIES["bivariate_normal"].check_params(theta)
     cov = np.array([[s1, rho * np.sqrt(s1 * s2)],
                     [rho * np.sqrt(s1 * s2), s2]])
     vals, vecs = np.linalg.eigh(cov)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .families import DegenerateFitError, get_family
 from .residuals import ResidualConfig
-from .solver import SolverConfig, bootstrap_root_search, check_integers
+from .solver import SolverConfig, bootstrap_root_search, check_settings
 from .weights import GammaKernel
 
 REPORT_VERSION = 1
@@ -60,7 +60,8 @@ class SimulationPlan:
     solver_config = SolverConfig(eligibility_share=0.55, bootstrap_m=5)
 
     def __post_init__(self):
-        check_integers(self, "n", "reps", "seed")
+        # n's own floor is the subsample rule below
+        check_settings(self, n=0, reps=1, seed=0)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; "
                              f"choose from {sorted(SCHEMES)}")
@@ -70,10 +71,6 @@ class SimulationPlan:
             raise ValueError(f"eps_grid = {self.eps_grid!r}: eps_grid must be "
                              "a non-empty sequence of levels in [0, 0.5]")
         object.__setattr__(self, "eps_grid", eps)  # a list would not hash
-        if self.reps < 1:
-            raise ValueError("need at least one replication")
-        if self.seed < 0:
-            raise ValueError(f"seed = {self.seed}: the seed must be >= 0")
         family = get_family(SCHEMES[self.scheme][0])
         self.solver_config.subsample_size(family, self.n)
 

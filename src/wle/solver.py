@@ -13,6 +13,7 @@ single batch, for every family; a single start is the batch of one.
 import functools
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Real
 
 import numpy as np
 
@@ -39,19 +40,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self, "max_iter", "bootstrap_b", "bootstrap_m", "seed")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tolerance must be finite and > 0")
-        if self.max_iter < 1:
-            raise ValueError("iteration budget must be >= 1")
-        if self.bootstrap_b < 1:
-            raise ValueError("bootstrap restart count must be >= 1")
-        if self.bootstrap_m < 2:
-            raise ValueError("bootstrap subsample size must be >= 2")
+        check_settings(self, tol=0, max_iter=1, bootstrap_b=1, bootstrap_m=2,
+                       seed=0)
         if not 0 <= self.eligibility_share < 1:
             raise ValueError("eligibility share must be in [0, 1)")
-        if self.seed < 0:
-            raise ValueError(f"seed = {self.seed}: the seed must be >= 0")
 
     def subsample_size(self, family, n):
         """The bootstrap subsample size for `family`; a smaller n raises."""
@@ -61,12 +53,25 @@ class SolverConfig:
         return m
 
 
-def check_integers(config, *names):
-    """A ValueError for the first of the fields `names` of `config` that
-    does not hold an integer."""
-    for name in names:
-        if not isinstance(value := getattr(config, name), (int, np.integer)):
-            raise ValueError(f"{name} = {value!r}: {name} must be an integer")
+def check_settings(config, **bounds):
+    """A ValueError, by the field's name, for the first keyword field of
+    `config` outside its bound: an `int` field must hold an integer of at
+    least its bound, a `float` field a finite number above it."""
+    types = {f.name: f.type for f in fields(config)}
+    for name, bound in bounds.items():
+        value = getattr(config, name)
+        if types[name] is not int:
+            if (isinstance(value, Real) and math.isfinite(value)
+                    and value > bound):
+                continue
+            rule = f"finite and > {bound}"
+        elif not isinstance(value, (int, np.integer)):
+            rule = "an integer"
+        elif value < bound:
+            rule = f">= {bound}"
+        else:
+            continue
+        raise ValueError(f"{name} = {value!r}: {name} must be {rule}")
 
 
 @dataclass
@@ -219,8 +224,7 @@ def solve_from(family, data, residual_config, weight_spec, solver_config,
     DegenerateFitError.
     """
     data = _checked_data(family, data, residual_config)
-    theta0 = np.asarray(theta0, dtype=float)
-    family.check_params(theta0)
+    theta0 = family.check_params(theta0)
     root = _solve_batch(family, data, residual_config, weight_spec,
                         solver_config, theta0[None, :])[0]
     if root is None:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .solver import check_settings
+
 
 def _prep(tau):
     tau = np.asarray(tau, dtype=float)
@@ -59,8 +61,7 @@ class GammaKernel(WeightFunction):
     alpha: float = 1.01
 
     def __post_init__(self):
-        if not self.alpha > 1:
-            raise ValueError("alpha must exceed 1")
+        check_settings(self, alpha=1)
 
     def _log_weight(self, tau):
         # H(tau) = ((1 + tau) e^{-tau})^{alpha - 1}
@@ -80,8 +81,7 @@ class WeibullKernel(WeightFunction):
     k: float = 1.01
 
     def __post_init__(self):
-        if not self.k > 1:
-            raise ValueError("k must exceed 1")
+        check_settings(self, k=1)
 
     @property
     def scale(self):
@@ -112,8 +112,7 @@ class GevKernel(WeightFunction):
     xi: float = 10.0
 
     def __post_init__(self):
-        if not self.xi > 0:
-            raise ValueError("xi must be positive")
+        check_settings(self, xi=0)
 
     @property
     def location(self):
@@ -148,10 +147,7 @@ class ScaledFKernel(WeightFunction):
     d2: float = 1.0
 
     def __post_init__(self):
-        if not self.d1 > 2:
-            raise ValueError("d1 must exceed 2")
-        if not self.d2 > 0:
-            raise ValueError("d2 must be positive")
+        check_settings(self, d1=2, d2=0)
 
     @property
     def mode_scale(self):

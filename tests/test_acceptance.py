@@ -13,6 +13,7 @@ import pytest
 
 from wle import (ContaminationSpec, GammaKernel, ModelDistribution,
                  ResidualConfig, SimulationPlan, SolverConfig, get_family,
+                 load_dataset,
                  influence_first_order, influence_report,
                  fisher_consistency_check, bootstrap_root_search,
                  mixture_root_scan, reproduce_table, run_simulation,
@@ -50,6 +51,43 @@ def test_criterion_01_fruitfly_rates():
             f"mle={cells[('mle', 'theta')].computed:.4f}, "
             f"wle={[round(c.computed, 5) for c in wle]} vs 0.3948 +/- 1e-3, "
             f"{rep.runtime_seconds:.2f}s")
+
+
+def test_criterion_01_bound_in_writing():
+    # Why the band of criterion 1 is out of reach. The counts are 23 zeros,
+    # 7 ones, 3 twos and one 91, and each table-2 root is the fixed point
+    # lam = sum w x / sum w. There the 91 has weight 0, the zeros weight 1
+    # and no weight exceeds 1, so lam = (7 w1 + 6 w2) / (23 w0 + 7 w1 +
+    # 3 w2) <= 13/33, the outlier-deleted MLE, and the band's lower edge
+    # needs w2 >= 0.99905 even at w1 = 1. The twos get about 0.9971.
+    x = load_dataset("drosophila").column("daughters")
+    assert sorted(x) == [0.0] * 23 + [1.0] * 7 + [2.0] * 3 + [91.0]
+    fam = get_family("poisson")
+    cells = _cells_by_key(_table("table2"))
+    edge = cells[("mle_outlier_deleted", "theta")]
+    lam_d = fam.mle(x[x < 91])[0]
+    assert lam_d == 13 / 33 and edge.computed == lam_d
+    band = cells[("wle_gamma_alpha1.01", "theta")]
+    low = band.reference - band.tol
+    w2_needed = (30 * low - 7) / (6 - 3 * low)  # lam at w0 = w1 = 1
+    assert w2_needed == pytest.approx(0.99905, abs=5e-6)
+    w2s = []
+    for label, spec in (("wle_gamma_alpha1.01", GammaKernel(1.01)),
+                        ("wle_weibull_k1.01", WeibullKernel(1.01))):
+        root = solve_from(fam, x, ResidualConfig(), spec, SolverConfig(),
+                          np.array([lam_d]))
+        assert root.theta[0] == cells[(label, "theta")].computed
+        w0, w1, w2, w91 = (np.unique(root.weights[x == v]).item()
+                           for v in (0.0, 1.0, 2.0, 91.0))
+        assert w91 == 0.0 and w0 == 1.0 and root.weights.max() <= 1.0
+        lam = (7 * w1 + 6 * w2) / (23 * w0 + 7 * w1 + 3 * w2)
+        assert root.theta[0] == pytest.approx(lam, rel=1e-8)
+        assert lam <= 13 / 33
+        w2s.append(w2)
+    _report("criterion 1 bound (lam <= 13/33 with w0 = 1)",
+            all(w2 < w2_needed for w2 in w2s),
+            f"w2 = {[round(w2, 5) for w2 in w2s]}, band edge {low:.4f} "
+            f"needs w2 >= {w2_needed:.5f}")
 
 
 def test_criterion_02_passage_of_light():

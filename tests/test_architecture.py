@@ -214,3 +214,54 @@ def test_run_simulation_keeps_no_per_estimator_list():
                and isinstance(node.func, ast.Attribute)
                and node.func.attr == "append"]
     assert appends == []
+
+
+def _methods(module, name):
+    """The `name` function of each class in `module`, by class name."""
+    return {cls.name: fn for cls in ast.walk(_tree(module))
+            if isinstance(cls, ast.ClassDef) for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == name}
+
+
+def _calls(node, name):
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == name for n in ast.walk(node))
+
+
+def test_settings_have_one_gate():
+    # each config and kernel checks its numeric fields through the one
+    # settings rule, and the integer test lives only there
+    for module, classes in (("solver.py", ["SolverConfig"]),
+                            ("simulate.py", ["SimulationPlan"]),
+                            ("weights.py", [k.__name__
+                                            for k in KERNELS.values()])):
+        posts = _methods(module, "__post_init__")
+        for cls in classes:
+            assert _calls(posts[cls], "check_settings"), cls
+    found = set()
+
+    def visit(node, module, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and "integer" in _names(node.args[1])):
+            found.add((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in SRC.glob("*.py"):
+        visit(_tree(path.name), path.name, None)
+    assert found == {("solver.py", "check_settings")}
+
+
+@pytest.mark.parametrize("module", ["families.py", "diagnostics.py"])
+def test_a_checked_parameter_is_not_reshaped(module):
+    # `check_params` returns theta as a float vector, so no family method
+    # or diagnostic flattens a parameter again
+    for node in ast.walk(_tree(module)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "reshape"):
+            names = {n.id for part in (node.func.value, *node.args)
+                     for n in ast.walk(part) if isinstance(n, ast.Name)}
+            assert not any(n.startswith("theta") for n in names), node.lineno

@@ -291,8 +291,12 @@ def test_invalid_values_are_usage_errors(capsys, argv):
       "--weight-fn", "none"], "--log: the selected columns hold values <= 0"),
     # a negative seed fails when the configuration is built, by its name
     (["roots", "--model", "normal", "--data", "newcomb", "--seed", "-1"],
-     "seed = -1: the seed must be >= 0"),
-    (["simulate", "--seed", "-1"], "seed = -1: the seed must be >= 0"),
+     "seed = -1: seed must be >= 0"),
+    (["simulate", "--seed", "-1"], "seed = -1: seed must be >= 0"),
+    # a non-finite tuning value fails when the kernel is built, not as a
+    # degenerate fit
+    (["fit", "--model", "normal", "--data", "newcomb", "--alpha", "inf"],
+     "alpha = inf: alpha must be finite and > 1"),
     # the search and the simulation plan state the subsample rule alike
     (["roots", "--model", "normal", "--data", "newcomb", "--bootstrap-m",
       "100"], "n = 66: the sample size must be at least the bootstrap "
@@ -307,7 +311,7 @@ def test_invalid_values_are_usage_errors(capsys, argv):
         "scan-y", "scan-coverage", "bias-curve-eps",
         "bias-curve-contaminant-mean", "bias-curve-contaminant-var",
         "ellipse-y", "log-of-zero", "roots-negative-seed",
-        "simulate-negative-seed", "roots-subsample-size",
+        "simulate-negative-seed", "fit-alpha-inf", "roots-subsample-size",
         "simulate-subsample-size"])
 def test_missing_or_mismatched_flags_are_usage_errors(capsys, argv, message):
     assert _usage_error(capsys, argv) == f"wle: error: {message}"

@@ -411,6 +411,15 @@ def test_concentration_ellipse_mahalanobis():
     np.testing.assert_allclose(m2, st.chi2.ppf(0.95, 2), rtol=1e-8)
     with pytest.raises(ValueError):
         concentration_ellipse(theta, coverage=1.5)
+    # a theta outside the bivariate parameter space, or of the wrong
+    # length, is the family's DomainError, not NaN axes or an unpacking
+    # error
+    for bad in ([1.0, -2.0, -1.0, 0.5, 0.6], [1.0, -2.0, np.nan, 0.5, 0.6],
+                [1.0, -2.0, 2.0, np.inf, 0.6], [1.0, -2.0, 2.0, 0.5],
+                [1.0, -2.0, 2.0, 0.5, 0.6, 0.0]):
+        for fn in (concentration_ellipse, ellipse_polyline):
+            with pytest.raises(DomainError):
+                fn(bad)
 
 
 def test_score_matches_numeric_gradient_of_logpdf():

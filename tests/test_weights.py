@@ -1,6 +1,7 @@
 """Weight-kernel invariants, scipy density-ratio oracles, property tests."""
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -170,13 +171,21 @@ def test_registries():
     assert DEFAULT_SPECS["scaled_f"] == ScaledFKernel(2.1, 1.0)
 
 
+# a non-finite value of any tuning field fails by the field's name
+_NON_FINITE = [pytest.param(lambda k=kernel, n=f.name, v=v: k(**{n: v}),
+                            id=f"{name}-{f.name}-{v}")
+               for name, kernel in KERNELS.items() for f in fields(kernel)
+               for v in (np.inf, np.nan)]
+
+
 @pytest.mark.parametrize("bad", [lambda: GammaKernel(1.0),
                                  lambda: WeibullKernel(0.9),
                                  lambda: GevKernel(0.0),
                                  lambda: ScaledFKernel(2.0, 1.0),
-                                 lambda: ScaledFKernel(2.5, 0.0)])
+                                 lambda: ScaledFKernel(2.5, 0.0),
+                                 *_NON_FINITE])
 def test_invalid_tuning_rejected(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^(\w+) = \S+: \1 must be "):
         bad()
 
 
