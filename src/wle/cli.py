@@ -33,6 +33,8 @@ _MODE_FLAGS = {"bias_curve": {"y": 3.0},
                                 "contaminant_var": 1.0},
                "ellipse": {"coverage": 0.95}}
 
+_MAX_SCAN_POINTS = 10_000  # a --mixture-scan grid's cap: ~25 s of quadratures
+
 
 def _reject(args, names, where):
     """A usage error for the first of `names` given on the command line;
@@ -170,6 +172,10 @@ def _cmd_diagnose(args):
         spec = ContaminationSpec(base=base, eps=args.eps,
                                  contaminant=contaminant)
         hi = max(4.0, args.contaminant_mean + 4.0)
+        if (hi + 4.0) / 0.05 >= _MAX_SCAN_POINTS:
+            raise ValueError(f"--contaminant-mean {args.contaminant_mean}: "
+                             f"the scan would take over {_MAX_SCAN_POINTS} "
+                             "points")
         grid = np.arange(-4.0, hi + 1e-9, 0.05)
         roots = mixture_root_scan(spec, _weight_spec(args), grid,
                                   **_given(args, ResidualConfig))

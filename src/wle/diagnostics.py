@@ -38,15 +38,16 @@ class ModelDistribution:
     theta: tuple
 
     def __post_init__(self):
-        # the checked floats, kept as a tuple so the frozen spec hashes
-        object.__setattr__(self, "theta",
-                           tuple(self.family.check_params(self.theta)))
+        # the checked floats: a tuple that hashes, an array for the family
+        theta = tuple(self.family.check_params(self.theta))
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "_theta", np.array(theta))
 
     def cdf_survival(self, x):
-        return self.family.cdf_survival(self.theta, x)
+        return self.family.cdf_survival(self._theta, x)
 
     def pdf(self, x):
-        return self.family.pdf(self.theta, x)
+        return self.family.pdf(self._theta, x)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -205,9 +206,12 @@ def influence_report(family, theta, weight_spec, y):
 def population_weighted_score(contam_spec, weight_spec, mu, p=0.5):
     """Weighted score integral of the N(mu, 1) model against a mixture.
 
-    The tail fraction p must be in (0, 1/2], as in `ResidualConfig`."""
+    The tail fraction p must be in (0, 1/2], as in `ResidualConfig`, and
+    mu finite; where every weight is 0 the integral is 0.0."""
     p = ResidualConfig(p=p).p
     mu = float(mu)
+    if not np.isfinite(mu):
+        raise ValueError(f"mu = {mu}: mu must be finite")
     fam = get_family("normal_location")
     theta = np.array([mu])
     ranges = [fam.integration_range(theta)] + [
@@ -250,12 +254,12 @@ def mixture_root_scan(contam_spec, weight_spec, mu_grid, p=0.5):
     The score integral is evaluated on the grid, sign changes are
     bracketed, and each bracket is refined by bisection to 1e-6, reusing
     the grid value at its left end. Returns the list of roots (possibly
-    empty) in increasing order. A tail fraction p outside (0, 1/2] raises
-    ValueError.
+    empty) in increasing order. A grid that is not finite and strictly
+    increasing, or a tail fraction p outside (0, 1/2], raises ValueError.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
-    if np.any(np.diff(mu_grid) <= 0):
-        raise ValueError("mu grid must be strictly increasing")
+    if not (np.all(np.isfinite(mu_grid)) and np.all(np.diff(mu_grid) > 0)):
+        raise ValueError("mu grid must be finite and strictly increasing")
 
     def psi(mu):
         return population_weighted_score(contam_spec, weight_spec, mu, p=p)

@@ -35,15 +35,14 @@ _WEIGHT_SUM_FLOOR = 1e-12
 TAIL_MASS = 1e-13  # integration_range leaves less than this in each tail
 
 
-def _asarray1d(x):
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 0:
-        a = a[None]
-    return a
-
-
 class Family:
-    """Base class; subclasses fill in the analytic pieces."""
+    """Base class; subclasses fill in the analytic pieces.
+
+    Two gates take outside input: `check_data` returns the sample as a
+    float array of shape (n, *obs_shape), and `check_params` returns theta
+    as a float vector of shape (n_params,). Every other method reads x as
+    `check_data` returns it and theta as a float array of shape (dim,) or
+    (B, dim), and converts neither again."""
 
     name = ""
     kind = "univariate"  # univariate | bivariate | regression
@@ -113,7 +112,6 @@ class Family:
     def residual(self, thetas, x, empirical, p):
         """(B, n) residuals of the sample under a (B, dim) batch, from its
         `empirical(x)` and tail fraction p: the three-branch `tau_branch`."""
-        x = _asarray1d(x)
         Fn, Sn = empirical.at_sample(x, self.discrete)
         return tau_branch(Fn, Sn, *self.cdf_survival(thetas, x), p)
 
@@ -129,8 +127,8 @@ class Family:
         raise NotImplementedError(f"no median for {self.name}")
 
     def mle(self, x):
-        """Maximum likelihood estimate (all weights one)."""
-        x = _asarray1d(x)
+        """Maximum likelihood estimate (all weights one) of checked data."""
+        x = self.check_data(x)
         return self.weighted_fit(x, np.ones(len(x)))
 
     def weighted_fit(self, x, w):
@@ -183,7 +181,6 @@ class NormalErrors(Family):
         return ndtr(z), ndtr(-z)
 
     def residual(self, thetas, x, empirical, p):
-        x = _asarray1d(x)
         Fn, Sn = empirical.at_sample(x, self.discrete)
         # a huge outlier over a tiny scale standardizes to +-inf: its
         # model tail is 0 and its weight 0
@@ -204,25 +201,22 @@ class Poisson(Family):
     positive = (0,)
 
     def check_support(self, x):
-        x = _asarray1d(x)
         if np.any(x < 0) or np.any(x != np.floor(x)):
             raise DomainError("Poisson observations must be nonnegative integers")
 
     def pmf(self, theta, x):
         lam = theta[0]
-        x = _asarray1d(x)
         return np.exp(x * np.log(lam) - lam - gammaln(x + 1))
 
     def score(self, theta, x):
-        lam = np.asarray(theta, dtype=float)[..., 0:1]
-        return (_asarray1d(x) / lam - 1.0)[..., None]
+        return (x / theta[..., 0:1] - 1.0)[..., None]
 
     def cdf_survival(self, theta, x):
         # regularized incomplete gamma functions; the survival side is
         # computed directly, so extreme right tails keep their relative
         # accuracy
-        lam = np.asarray(theta, dtype=float)[..., 0:1]
-        k = np.floor(_asarray1d(x))
+        lam = theta[..., 0:1]
+        k = np.floor(x)
         F = pdtr(k, lam)
         S = np.where(k >= 1, pdtrc(np.maximum(k - 1.0, 0.0), lam), 1.0)
         return np.minimum(F, 1.0), np.minimum(S, 1.0)
@@ -249,17 +243,16 @@ class Normal(NormalErrors):
 
     def pdf(self, theta, x):
         z = self.residuals(theta, x)
-        return np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi * theta[1])
+        with np.errstate(over="ignore"):  # z * z = inf has density 0
+            return np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi * theta[1])
 
     def score(self, theta, x):
-        t = np.asarray(theta, dtype=float)
-        s2 = t[..., 1:2]
-        d = _asarray1d(x) - t[..., 0:1]
+        s2 = theta[..., 1:2]
+        d = x - theta[..., 0:1]
         return np.stack([d / s2, (d * d - s2) / (2 * s2 * s2)], axis=-1)
 
     def residuals(self, theta, x):
-        t = np.asarray(theta, dtype=float)
-        return (_asarray1d(x) - t[..., 0:1]) / np.sqrt(t[..., 1:2])
+        return (x - theta[..., 0:1]) / np.sqrt(theta[..., 1:2])
 
     def fisher_information(self, theta):
         s2 = theta[1]
@@ -293,31 +286,27 @@ class Exponential(Family):
     positive = (0,)
 
     def check_support(self, x):
-        if np.any(_asarray1d(x) < 0):
+        if np.any(x < 0):
             raise DomainError("exponential observations must be nonnegative")
 
     def pdf(self, theta, x):
-        lam = theta[0]
-        return lam * np.exp(-lam * _asarray1d(x))
+        return theta[0] * np.exp(-theta[0] * x)
 
     def score(self, theta, x):
-        lam = np.asarray(theta, dtype=float)[..., 0:1]
-        return (1.0 / lam - _asarray1d(x))[..., None]
+        return (1.0 / theta[..., 0:1] - x)[..., None]
 
     def score_curvature(self, theta, x):
-        return np.full(_asarray1d(x).size, 2.0 / theta[0]**3)
+        return np.full(x.shape, 2.0 / theta[0]**3)
 
     def cdf_survival(self, theta, x):
-        lx = np.asarray(theta, dtype=float)[..., 0:1] * _asarray1d(x)
+        lx = theta[..., 0:1] * x
         return -np.expm1(-lx), np.exp(-lx)
 
     def cdf_gradient(self, theta, x):
-        lam = theta[0]
-        x = _asarray1d(x)
-        return (x * np.exp(-lam * x))[:, None]
+        return (x * np.exp(-theta[0] * x))[:, None]
 
     def score_jacobian(self, theta, x):
-        return np.full((_asarray1d(x).size, 1, 1), -1.0 / theta[0]**2)
+        return np.full((len(x), 1, 1), -1.0 / theta[0]**2)
 
     def fisher_information(self, theta):
         return np.array([[1.0 / theta[0]**2]])
@@ -341,23 +330,23 @@ class NormalLocation(NormalErrors):
 
     def pdf(self, theta, x):
         z = self.residuals(theta, x)
-        return np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
+        with np.errstate(over="ignore"):  # z * z = inf has density 0
+            return np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
 
     def score(self, theta, x):
-        mu = np.asarray(theta, dtype=float)[..., 0:1]
-        return (_asarray1d(x) - mu)[..., None]
+        return (x - theta[..., 0:1])[..., None]
 
     def score_curvature(self, theta, x):
-        return np.zeros(_asarray1d(x).size)
+        return np.zeros(x.shape)
 
     def residuals(self, theta, x):
-        return _asarray1d(x) - np.asarray(theta, dtype=float)[..., 0:1]
+        return x - theta[..., 0:1]
 
     def cdf_gradient(self, theta, x):
         return -self.pdf(theta, x)[:, None]
 
     def score_jacobian(self, theta, x):
-        return np.full((_asarray1d(x).size, 1, 1), -1.0)
+        return np.full((len(x), 1, 1), -1.0)
 
     def fisher_information(self, theta):
         return np.array([[1.0]])
@@ -388,16 +377,13 @@ class BivariateNormal(Family):
     def _standardize(self, theta, xy):
         """Standardized coordinates (z1, z2) and rho; a (B, 5) batch gives
         (B, n) rows."""
-        t = np.asarray(theta, dtype=float)
-        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        z1 = (xy[:, 0] - t[..., 0:1]) / np.sqrt(t[..., 2:3])
-        z2 = (xy[:, 1] - t[..., 1:2]) / np.sqrt(t[..., 3:4])
-        return z1, z2, t[..., 4:5]
+        z1 = (xy[:, 0] - theta[..., 0:1]) / np.sqrt(theta[..., 2:3])
+        z2 = (xy[:, 1] - theta[..., 1:2]) / np.sqrt(theta[..., 3:4])
+        return z1, z2, theta[..., 4:5]
 
     def score(self, theta, xy):
-        t = np.asarray(theta, dtype=float)
-        s1, s2 = t[..., 2:3], t[..., 3:4]
-        z1, z2, rho = self._standardize(t, xy)
+        s1, s2 = theta[..., 2:3], theta[..., 3:4]
+        z1, z2, rho = self._standardize(theta, xy)
         r2 = 1 - rho * rho
         return np.stack([
             (z1 - rho * z2) / (np.sqrt(s1) * r2),
@@ -424,9 +410,6 @@ class BivariateNormal(Family):
         if p != 0.5:
             raise ValueError(f"p = {p}: the bivariate quadrant residual has "
                              "no tail fraction, so p must be 0.5")
-        xy = np.asarray(xy, dtype=float)
-        if xy.ndim != 2:
-            xy = xy.reshape(-1, 2)
         model_q = self.quadrant_probabilities(thetas, xy)
         emp_q = empirical.at_sample(xy)
         pm, emp = model_q[0], emp_q[:, 0]
@@ -437,7 +420,6 @@ class BivariateNormal(Family):
         return _tail_ratio(emp, pm)
 
     def weighted_fit_batch(self, xy, w):
-        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
         sw = _weight_sums(w)
         mu1, mu2 = w @ xy[:, 0] / sw, w @ xy[:, 1] / sw
         d1 = xy[:, 0] - mu1[:, None]
@@ -472,11 +454,9 @@ class NormalRegression(NormalErrors):
 
     def residuals(self, theta, xy):
         """(y - beta0 - beta1 x) / sigma; a (B, 3) batch gives (B, n) rows."""
-        t = np.asarray(theta, dtype=float)
-        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
         with np.errstate(over="ignore"):
-            return ((xy[:, 1] - t[..., 0:1] - t[..., 1:2] * xy[:, 0])
-                    / t[..., 2:3])
+            return ((xy[:, 1] - theta[..., 0:1] - theta[..., 1:2] * xy[:, 0])
+                    / theta[..., 2:3])
 
     def empirical(self, xy):
         return None  # each row ranks its own residuals
@@ -487,17 +467,15 @@ class NormalRegression(NormalErrors):
         return _normal_tau(Fn, Sn, z, p)
 
     def score(self, theta, xy):
-        t = np.asarray(theta, dtype=float)
-        x, y = np.asarray(xy, dtype=float).reshape(-1, 2).T
-        sig = t[..., 2:3]
-        e = y - t[..., 0:1] - t[..., 1:2] * x
+        x, y = xy[:, 0], xy[:, 1]
+        sig = theta[..., 2:3]
+        e = y - theta[..., 0:1] - theta[..., 1:2] * x
         return np.stack([e / sig**2, e * x / sig**2,
                          (e * e - sig**2) / sig**3], axis=-1)
 
     def weighted_fit_batch(self, xy, w):
         # weighted least squares on the centred covariate: the 2x2 normal
         # equations have determinant sw * sxx and solve in closed form
-        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
         x, y = xy[:, 0], xy[:, 1]
         sw = _weight_sums(w)
         mx, my = w @ x / sw, w @ y / sw

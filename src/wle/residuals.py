@@ -184,17 +184,26 @@ def _normal_tau(Fn, Sn, z, p):
     return _tail_ratio(np.where(upper, Sn, Fn), q)
 
 
-def tau_for_sample(config, family, theta, data, empirical=None):
+_BUILD = object()  # tau_for_sample builds the empirical functions itself
+
+
+def tau_for_sample(config, family, theta, data, empirical=_BUILD):
     """Residuals of every observation in `data` under `family` at `theta`,
     from the family's `residual`.
 
     `theta` is one parameter vector, giving n residuals, or a (B, dim)
     batch, giving one row of n residuals per parameter. Model tails that
     underflow give +inf residuals, so extreme outliers simply receive
-    weight zero. A supplied `empirical` must be `family.empirical(data)`.
+    weight zero. One vector passes `family.check_params`, and data whose
+    empirical functions are built here `family.check_data`. A supplied
+    `empirical` must be `family.empirical(data)` of checked data; a batch
+    is read as it is, as the solver's blocks of one checked search are.
     """
-    theta = np.asarray(theta, dtype=float)
-    if empirical is None:
+    if empirical is _BUILD:
+        data = family.check_data(data)
         empirical = family.empirical(data)
-    tau = family.residual(np.atleast_2d(theta), data, empirical, config.p)
-    return tau if theta.ndim == 2 else tau[0]
+    if np.ndim(theta) == 2:
+        return family.residual(np.asarray(theta, dtype=float), data,
+                               empirical, config.p)
+    return family.residual(family.check_params(theta)[None, :], data,
+                           empirical, config.p)[0]

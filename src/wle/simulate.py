@@ -105,6 +105,17 @@ class SimulationReport:
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
+    def to_csv(self):
+        """One line per cell and one column per array field; a failed
+        cell reads nan."""
+        cols = [f.name for f in dataclasses.fields(self)
+                if f.type is np.ndarray]
+        lines = [("scheme", "eps", "estimator", *cols)]
+        lines += [(self.scheme, f"{self.eps_grid[ie]}", self.estimators[je],
+                   *(repr(getattr(self, c)[ie, je].item()) for c in cols))
+                  for ie, je in np.ndindex(self.mse.shape)]
+        return "".join(",".join(line) + "\n" for line in lines)
+
     @classmethod
     def from_dict(cls, d):
         if d.get("version") != REPORT_VERSION:

@@ -16,7 +16,6 @@ applied only when comparing against those tables.
 """
 
 import dataclasses
-import io
 import json
 import time
 from dataclasses import dataclass, field
@@ -92,6 +91,16 @@ class TableReport:
                 "runtime_seconds": self.runtime_seconds,
                 "cells": [c.to_dict() for c in self.cells]}
 
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2) + "\n"
+
+    def to_csv(self):
+        lines = ["row,column,computed,reference,deviation,tol,kind,passed"]
+        lines += [f"{c.row},{c.column},{c.computed!r},{c.reference!r},"
+                  f"{c.deviation!r},{c.tol!r},{c.kind},{bool(c.passed)}"
+                  for c in self.cells]
+        return "".join(line + "\n" for line in lines)
+
     def summary_lines(self):
         lines = [f"{self.table_id}: {self.title}"]
         for c in self.cells:
@@ -106,28 +115,10 @@ class TableReport:
 
 
 def export_report(report, fmt="json"):
-    """Serialize a TableReport or SimulationReport to 'json' or 'csv'."""
-    if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2) + "\n"
-    if fmt != "csv":
+    """A TableReport or SimulationReport by its own 'json' or 'csv' writer."""
+    if fmt not in ("json", "csv"):
         raise ValueError(f"unknown export format {fmt!r}")
-    buf = io.StringIO()
-    d = report.to_dict()
-    if "cells" in d:
-        buf.write("row,column,computed,reference,deviation,tol,kind,passed\n")
-        for c in d["cells"]:
-            buf.write(f"{c['row']},{c['column']},{c['computed']!r},"
-                      f"{c['reference']!r},{c['deviation']!r},{c['tol']!r},"
-                      f"{c['kind']},{c['passed']}\n")
-    else:
-        # from the arrays, not the JSON form, so a failed cell reads nan
-        cols = ("mse", "mc_se", "var", "mean_root_count", "failures")
-        buf.write(",".join(("scheme", "eps", "estimator", *cols)) + "\n")
-        for ie, je in np.ndindex(report.mse.shape):
-            row = (repr(getattr(report, c)[ie, je].item()) for c in cols)
-            buf.write(",".join([report.scheme, f"{report.eps_grid[ie]}",
-                                report.estimators[je], *row]) + "\n")
-    return buf.getvalue()
+    return getattr(report, f"to_{fmt}")()
 
 
 def _cells_vector(row, names, computed, reference, tols, kind="abs", note=""):
@@ -342,21 +333,29 @@ def _table11():
     return "Bivariate roots for the two-species beetle data", cells
 
 
-def _table12():
-    """Straight-line fit to log brain weight versus log body weight."""
-    ds = load_dataset("animals")
-    xy = np.column_stack([np.log(ds.column("body_kg")),
-                          np.log(ds.column("brain_g"))])
+def _regression_roots(xy, mle_ref):
+    """The parameter names, the MLE cells, against reference rows that use
+    the n-2 residual standard deviation, and the scaled-F(2.5, 1) root
+    search of a straight-line fit."""
     fam = get_family("normal_regression")
     n = len(xy)
     names = ["beta0", "beta1", "sigma"]
     mle = fam.mle(xy)
     cells = _cells_vector(
         "mle", names, [mle[0], mle[1], mle[2] * np.sqrt(n / (n - 2))],
-        [2.5549, 0.4960, 1.5320], 0.01,
+        mle_ref, 0.01,
         note="reference row uses the n-2 residual standard deviation")
     rs = bootstrap_root_search(fam, xy, ResidualConfig(kind="regression"),
                                ScaledFKernel(2.5, 1.0), SolverConfig(seed=0))
+    return names, cells, rs
+
+
+def _table12():
+    """Straight-line fit to log brain weight versus log body weight."""
+    ds = load_dataset("animals")
+    xy = np.column_stack([np.log(ds.column("body_kg")),
+                          np.log(ds.column("brain_g"))])
+    names, cells, rs = _regression_roots(xy, [2.5549, 0.4960, 1.5320])
     cells += _cells_vector("wle_scaled_f_d1_2.5_d2_1", names,
                            rs.selected.theta, [1.7858, 0.7785, 0.1575], 0.01)
     return "Robust line for brain weight versus body weight", cells
@@ -366,16 +365,7 @@ def _table13():
     """Multiple regression roots for the rocket-motor voltage readings."""
     ds = load_dataset("voltage_drop")
     xy = np.column_stack([ds.column("time"), ds.column("voltage")])
-    fam = get_family("normal_regression")
-    n = len(xy)
-    names = ["beta0", "beta1", "sigma"]
-    mle = fam.mle(xy)
-    cells = _cells_vector(
-        "mle", names, [mle[0], mle[1], mle[2] * np.sqrt(n / (n - 2))],
-        [9.4855, 0.1860, 2.3301], 0.01,
-        note="reference row uses the n-2 residual standard deviation")
-    rs = bootstrap_root_search(fam, xy, ResidualConfig(kind="regression"),
-                               ScaledFKernel(2.5, 1.0), SolverConfig(seed=0))
+    names, cells, rs = _regression_roots(xy, [9.4855, 0.1860, 2.3301])
     refs = [("wle_root1", 9.4739, 0.1867, 2.2659),
             ("wle_root2", 5.4565, 0.9335, 0.3854)]
     for label, b0, b1, s in refs:

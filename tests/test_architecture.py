@@ -265,3 +265,37 @@ def test_a_checked_parameter_is_not_reshaped(module):
             names = {n.id for part in (node.func.value, *node.args)
                      for n in ast.walk(part) if isinstance(n, ast.Name)}
             assert not any(n.startswith("theta") for n in names), node.lineno
+
+
+_CONVERTERS = {"asarray", "array", "asanyarray", "atleast_1d", "atleast_2d",
+               "_asarray1d"}
+
+
+def _is_input(node):
+    return isinstance(node, ast.Name) and (node.id in ("x", "xy")
+                                           or node.id.startswith("theta"))
+
+
+def test_family_methods_read_the_gated_arrays_as_they_are():
+    # `check_data` and `check_params` return x and theta as float arrays,
+    # so no other function in families.py converts or reshapes x, xy or a
+    # theta again
+    tree = _tree("families.py")
+    assert "_asarray1d" not in {n.name for n in ast.walk(tree)
+                                if isinstance(n, ast.FunctionDef)}
+    for fn in ast.walk(tree):
+        if (not isinstance(fn, ast.FunctionDef)
+                or fn.name in ("check_data", "check_params")):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if isinstance(func, ast.Attribute):
+                name = func.attr
+                if name == "reshape":  # x.reshape(...) or np.reshape(x, ...)
+                    args = [func.value, *args]
+            else:
+                name = getattr(func, "id", None)
+            if name in _CONVERTERS or name == "reshape":
+                assert not any(map(_is_input, args)), (fn.name, node.lineno)

@@ -303,6 +303,11 @@ def test_invalid_values_are_usage_errors(capsys, argv):
               "subsample size 100"),
     (["simulate", "--n", "4"], "n = 4: the sample size must be at least "
                                "the bootstrap subsample size 5"),
+    # the scan grid grows with the contaminant mean: a cap, by the flag
+    (["diagnose", "--mixture-scan", "--contaminant-mean", "1e4"],
+     "--contaminant-mean 10000.0: the scan would take over 10000 points"),
+    (["diagnose", "--mixture-scan", "--contaminant-mean", "1e300"],
+     "--contaminant-mean 1e+300: the scan would take over 10000 points"),
 ], ids=["ellipse-no-data", "ellipse-no-model", "ellipse-normal-model",
         "bivariate-one-column", "roots-without-weights", "bias-curve-model",
         "scan-data", "bias-curve-columns", "scan-log", "bivariate-p",
@@ -312,7 +317,7 @@ def test_invalid_values_are_usage_errors(capsys, argv):
         "bias-curve-contaminant-mean", "bias-curve-contaminant-var",
         "ellipse-y", "log-of-zero", "roots-negative-seed",
         "simulate-negative-seed", "fit-alpha-inf", "roots-subsample-size",
-        "simulate-subsample-size"])
+        "simulate-subsample-size", "scan-grid-cap", "scan-grid-cap-huge"])
 def test_missing_or_mismatched_flags_are_usage_errors(capsys, argv, message):
     assert _usage_error(capsys, argv) == f"wle: error: {message}"
 

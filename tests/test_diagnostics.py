@@ -1,5 +1,7 @@
 """Population diagnostics: consistency, influence, mixture root scans."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import bisect
@@ -234,3 +236,34 @@ def test_population_score_and_scan_reject_p_outside_half(p):
     with pytest.raises(ValueError, match=r"p must be in \(0, 0.5\]"):
         mixture_root_scan(cs, GammaKernel(1.1), np.linspace(-2.0, 7.0, 46),
                           p=p)
+
+
+def _normal_mixture():
+    norm = get_family("normal")
+    return ContaminationSpec(base=ModelDistribution(norm, (0.0, 1.0)),
+                             eps=0.2,
+                             contaminant=ModelDistribution(norm, (5.0, 1.0)))
+
+
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+def test_population_score_rejects_non_finite_mu_by_name(mu):
+    with pytest.raises(ValueError, match="mu must be finite"):
+        population_weighted_score(_normal_mixture(), GammaKernel(1.05), mu)
+
+
+@pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [np.nan],
+                                  [0.0, np.inf], [-np.inf, 0.0]])
+def test_scan_rejects_non_finite_grid_by_name(grid):
+    with pytest.raises(ValueError, match="mu grid must be finite"):
+        mixture_root_scan(_normal_mixture(), GammaKernel(1.05), grid)
+
+
+@pytest.mark.parametrize("mu", [1e6, 1e300, -1e300])
+def test_population_score_far_out_is_zero_without_a_warning(mu):
+    # every mixture point lies where the N(mu, 1) model tail is 0: its
+    # residual is +inf and its weight 0, and the mixture density there
+    # underflows to 0 without an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert population_weighted_score(_normal_mixture(),
+                                         GammaKernel(1.05), mu) == 0.0

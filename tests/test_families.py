@@ -109,7 +109,8 @@ def test_normal_location_fit_is_weighted_mean():
     w = np.array([1.0, 1.0, 0.0])
     assert fam.weighted_fit(x, w)[0] == pytest.approx(0.5)
     assert fam.fisher_information([0.0])[0, 0] == 1.0
-    np.testing.assert_allclose(fam.score([1.0], x)[:, 0], x - 1.0)
+    # theta reaches the family's methods as a float array
+    np.testing.assert_allclose(fam.score(np.array([1.0]), x)[:, 0], x - 1.0)
 
 
 def test_bvn_cdf_against_scipy():

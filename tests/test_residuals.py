@@ -11,10 +11,10 @@ from scipy.special import ndtr
 
 from wle import residuals
 from wle.datasets import load_dataset
-from wle.families import get_family
+from wle.families import DomainError, get_family
 from wle.residuals import (EmpiricalFunctions, ResidualConfig, model_tail,
                            tau_branch, tau_for_sample)
-from wle.solver import SolverConfig, solve_from
+from wle.solver import SolverConfig, bootstrap_root_search, solve_from
 from wle.weights import GammaKernel, WeibullKernel
 
 
@@ -370,9 +370,12 @@ def test_one_tail_residual_matches_both_tails_bit_for_bit(name, p):
 def test_undefined_model_tail_gets_inf(p):
     # an undefined standardized residual or F gets weight zero, not the
     # central region's residual 0 (weight one), whichever p
+    # (one NaN vector fails the parameter gate; a batch is read as it is)
     fam, x = get_family("normal_location"), np.array([-1.0, 0.0, 2.0])
-    tau = tau_for_sample(ResidualConfig(p=p), fam, np.array([np.nan]), x)
+    tau = tau_for_sample(ResidualConfig(p=p), fam, np.array([[np.nan]]), x)
     assert np.all(tau == np.inf)
+    with pytest.raises(DomainError):
+        tau_for_sample(ResidualConfig(p=p), fam, np.array([np.nan]), x)
     F = np.array([0.1, np.nan, 0.5, np.nan])
     assert np.array_equal(tau_branch(0.5, 0.5, F, 1.0 - F, p) == np.inf,
                           np.isnan(F))
@@ -413,3 +416,40 @@ def test_model_tail_branch_boundaries():
     assert upper.tolist() == [True] and T.tolist() == [0.6]
     upper, T = model_tail(F[1:], S[1:], 0.2)
     assert upper.tolist() == [False, True] and T.tolist() == [0.2, 0.3]
+
+
+_UNGATED = {
+    "nan-observation": ("normal", [0.0, 1.0], [1.0, np.nan, 2.0, 3.0]),
+    "three-value-theta": ("normal", [0.0, 1.0, 5.0], [1.0, 2.0, 3.0]),
+    "negative-variance": ("normal", [0.0, -1.0], [1.0, 2.0, 3.0]),
+    "one-value-theta": ("normal", [0.0], [1.0, 2.0, 3.0]),
+    "outside-support": ("exponential", [1.0], [-1.0, 2.0]),
+    "regression-nan": ("normal_regression", [0.0, 1.0, 1.0],
+                       [[0.0, 1.0], [1.0, np.nan], [2.0, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("name,theta,data", _UNGATED.values(),
+                         ids=list(_UNGATED))
+def test_tau_for_sample_gates_its_input(name, theta, data):
+    # one parameter vector passes `check_params`, and data whose empirical
+    # functions tau_for_sample builds pass `check_data`
+    fam = get_family(name)
+    with pytest.raises(DomainError):
+        tau_for_sample(ResidualConfig(kind=fam.kind), fam, theta, data)
+
+
+def test_a_search_checks_its_sample_and_starts_once(monkeypatch):
+    # the solver's residual calls read 2-D blocks of a sample checked once
+    # per search, so no gate runs per iteration
+    fam = get_family("normal")
+    calls = {"check_data": 0, "check_params": 0}
+    for gate in calls:
+        def counted(arg, gate=gate, check=getattr(fam, gate)):
+            calls[gate] += 1
+            return check(arg)
+        monkeypatch.setattr(fam, gate, counted)
+    x = load_dataset("newcomb").column("deviation")
+    bootstrap_root_search(fam, x, ResidualConfig(), GammaKernel(1.01),
+                          SolverConfig(bootstrap_b=5))
+    assert calls == {"check_data": 1, "check_params": 0}

@@ -219,3 +219,14 @@ def test_json_round_trip_nan_cell_and_failures():
     assert back.failures.dtype.kind == "i"
     assert back.failures[1, 2] == 2 and np.isnan(back.mse[1, 2])
     assert back.to_json() == text
+
+
+def test_export_report_is_the_reports_own_writer():
+    # a report writes its own JSON and CSV, one CSV column per array field,
+    # so a new column needs no edit of the exporter
+    rep = run_simulation(_small_plan())
+    assert export_report(rep, "json") == rep.to_json()
+    assert export_report(rep, "csv") == rep.to_csv()
+    assert rep.to_csv().splitlines()[0].split(",") == [
+        "scheme", "eps", "estimator", "mse", "mc_se", "var",
+        "mean_root_count", "failures"]

@@ -97,3 +97,9 @@ def test_table_report_passed_property():
     bad = TableReport("t", "x", [TableCell("r", "c", 9.0, 1.0, tol=0.1)])
     assert good.passed and not bad.passed
     assert bad.n_failed == 1
+
+
+def test_table_report_writes_its_own_json_and_csv():
+    report = reproduce_table("table4")
+    assert export_report(report, "json") == report.to_json()
+    assert export_report(report, "csv") == report.to_csv()
