@@ -49,6 +49,9 @@ class ModelDistribution:
     def pdf(self, x):
         return self.family.pdf(self._theta, x)
 
+    def integration_range(self):
+        return self.family.integration_range(self._theta)
+
 
 @dataclass(frozen=True, kw_only=True)
 class ContaminationSpec:
@@ -206,19 +209,22 @@ def influence_report(family, theta, weight_spec, y):
 def population_weighted_score(contam_spec, weight_spec, mu, p=0.5):
     """Weighted score integral of the N(mu, 1) model against a mixture.
 
-    The tail fraction p must be in (0, 1/2], as in `ResidualConfig`, and
-    mu finite; where every weight is 0 the integral is 0.0."""
+    The tail fraction p must be in (0, 1/2], as in `ResidualConfig`, mu
+    finite and the range of model and mixture shorter than the largest
+    float; where every weight is 0 the integral is 0.0."""
     p = ResidualConfig(p=p).p
     mu = float(mu)
     if not np.isfinite(mu):
         raise ValueError(f"mu = {mu}: mu must be finite")
-    fam = get_family("normal_location")
-    theta = np.array([mu])
+    fam, theta = get_family("normal_location"), np.array([mu])
     ranges = [fam.integration_range(theta)] + [
-        d.family.integration_range(d.theta)
-        for d in (contam_spec.base, contam_spec.contaminant)]
-    a = min(r[0] for r in ranges)
-    b = max(r[1] for r in ranges)
+        d.integration_range() for d in (contam_spec.base,
+                                        contam_spec.contaminant)]
+    a = min(float(r[0]) for r in ranges)
+    b = max(float(r[1]) for r in ranges)
+    if not np.isfinite(b - a):
+        raise ValueError(f"mu = {mu}: the range [{a}, {b}] of the model "
+                         "and the mixture is longer than the largest float")
     # branch boundaries of the residual in x
     cuts = [mu + ndtri(p), mu + ndtri(1.0 - p)]
 

@@ -1,9 +1,9 @@
 """Parametric families exposing the quantities the estimating equation needs.
 
 Each family provides the log-density score, one distribution-and-survival
-function `cdf_survival`, its residual `residual` with the sample's
-`empirical` functions, and a closed-form weighted fit (the inner step of
-the reweighting iteration); the univariate families add the Fisher
+function `cdf_survival`, its residual `residual` of the sample-point values
+of its `empirical` functions, and a closed-form weighted fit (the inner
+step of the reweighting iteration); the univariate families add the Fisher
 information, and the continuous scalar-parameter ones the parameter
 gradients, that the influence analysis needs. The score,
 `cdf_survival`, the residual, the weighted fit and the weighted score
@@ -106,14 +106,13 @@ class Family:
         raise NotImplementedError
 
     def empirical(self, x):
-        """The sample's empirical functions, built once per search."""
-        return EmpiricalFunctions(x)
+        """The sample's empirical functions in this family's convention."""
+        return EmpiricalFunctions(x, self.discrete)
 
-    def residual(self, thetas, x, empirical, p):
-        """(B, n) residuals of the sample under a (B, dim) batch, from its
-        `empirical(x)` and tail fraction p: the three-branch `tau_branch`."""
-        Fn, Sn = empirical.at_sample(x, self.discrete)
-        return tau_branch(Fn, Sn, *self.cdf_survival(thetas, x), p)
+    def residual(self, thetas, x, values, p):
+        """(B, n) residuals under a (B, dim) batch from the sample-point
+        `values` (F_n, S_n) and tail fraction p, by `tau_branch`."""
+        return tau_branch(*values, *self.cdf_survival(thetas, x), p)
 
     def fisher_information(self, theta):
         raise NotImplementedError
@@ -180,13 +179,12 @@ class NormalErrors(Family):
         z = self.residuals(theta, x)
         return ndtr(z), ndtr(-z)
 
-    def residual(self, thetas, x, empirical, p):
-        Fn, Sn = empirical.at_sample(x, self.discrete)
+    def residual(self, thetas, x, values, p):
         # a huge outlier over a tiny scale standardizes to +-inf: its
         # model tail is 0 and its weight 0
         with np.errstate(over="ignore"):
             z = self.residuals(thetas, x)
-        return _normal_tau(Fn, Sn, z, p)
+        return _normal_tau(*values, z, p)
 
 
 def _weight_sums(w):
@@ -403,21 +401,17 @@ class BivariateNormal(Family):
             z1, z2, rho = self._standardize(theta, xy)
             return bvn_cdf(z1, z2, rho)
 
-    def residual(self, thetas, xy, empirical, p):
-        """Residual from the quadrant with the smallest model probability;
-        ties at the minimum are broken in the fixed order ll, lg, gl, gg.
-        The quadrant residual has no tail fraction, so p must be 1/2."""
+    def residual(self, thetas, xy, values, p):
+        """Residual from the quadrant with the smallest model probability
+        against the (n, 4) quadrant masses `values`; ties go to the first
+        of ll, lg, gl, gg, and NaN probabilities, always all four, give
+        +inf. There is no tail fraction, so p must be 1/2."""
         if p != 0.5:
             raise ValueError(f"p = {p}: the bivariate quadrant residual has "
                              "no tail fraction, so p must be 0.5")
-        model_q = self.quadrant_probabilities(thetas, xy)
-        emp_q = empirical.at_sample(xy)
-        pm, emp = model_q[0], emp_q[:, 0]
-        for j in (1, 2, 3):
-            take = model_q[j] < pm
-            pm = np.where(take, model_q[j], pm)
-            emp = np.where(take, emp_q[:, j], emp)
-        return _tail_ratio(emp, pm)
+        q = np.stack(self.quadrant_probabilities(thetas, xy))
+        emp = values[np.arange(len(xy)), np.argmin(q, axis=0)]
+        return _tail_ratio(emp, q.min(axis=0))
 
     def weighted_fit_batch(self, xy, w):
         sw = _weight_sums(w)
@@ -461,7 +455,7 @@ class NormalRegression(NormalErrors):
     def empirical(self, xy):
         return None  # each row ranks its own residuals
 
-    def residual(self, thetas, xy, empirical, p):
+    def residual(self, thetas, xy, values, p):
         z = self.residuals(thetas, xy)
         Fn, Sn = _rank_functions(np.argsort(z, axis=-1, kind="stable"))
         return _normal_tau(Fn, Sn, z, p)

@@ -34,9 +34,11 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(ORDER)
 
 def _panels(f, lo, hi):
     """Gauss-Legendre estimates on the panels [lo[i], hi[i]] from one
-    integrand call; a ValueError if one of them is not finite."""
-    half = 0.5 * (hi - lo)
-    x = half[:, None] * _NODES + (0.5 * (lo + hi))[:, None]
+    integrand call, and their midpoints; a ValueError if one is not finite."""
+    # ends halved before the sum cannot overflow, and halving is exact
+    a, b = 0.5 * lo, 0.5 * hi
+    half, mid = b - a, a + b
+    x = half[:, None] * _NODES + mid[:, None]
     fx = np.asarray(f(x.ravel()), dtype=float)
     trail = fx.shape[1:]
     fx = fx.reshape(lo.size, ORDER, -1).transpose(0, 2, 1)
@@ -45,7 +47,7 @@ def _panels(f, lo, hi):
     if not np.isfinite(est).all():
         i = np.flatnonzero(~np.isfinite(est.reshape(lo.size, -1)).all(1))[0]
         raise ValueError(f"integrand is not finite on [{lo[i]}, {hi[i]}]")
-    return est
+    return est, mid
 
 
 def _blocks(*arrays):
@@ -79,14 +81,14 @@ class Quadrature:
         # a block holds panels of one depth, whose children one call
         # evaluates; _BLOCK keeps a call within BLOCK_ELEMENTS nodes, and
         # the memory bounded where panels never settle
-        stack = [(lo, hi, _panels(f, lo, hi), tol, 0)
+        stack = [(lo, hi, *_panels(f, lo, hi), tol, 0)
                  for lo, hi in _blocks(cuts[:-1], cuts[1:])]
         total, err = 0.0, 0.0
         while stack:
-            lo, hi, whole, tol, depth = stack.pop()
-            n, mid = lo.size, 0.5 * (lo + hi)
+            lo, hi, whole, mid, tol, depth = stack.pop()
+            n = lo.size
             lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-            halves = _panels(f, lo, hi)
+            halves, mids = _panels(f, lo, hi)
             pair = halves[:n] + halves[n:]
             delta = np.abs(pair - whole).reshape(n, -1).max(axis=1)
             done = (delta <= tol) | (depth >= MAX_DEPTH)
@@ -95,8 +97,8 @@ class Quadrature:
             # parent-child difference is a conservative error bound
             err += float(delta[done].sum())
             keep = np.concatenate([~done, ~done])
-            stack += [(*block, tol / 2, depth + 1)
-                      for block in _blocks(lo[keep], hi[keep], halves[keep])]
+            stack += [(*block, tol / 2, depth + 1) for block in
+                      _blocks(lo[keep], hi[keep], halves[keep], mids[keep])]
         if err > self.tol:
             warnings.warn(f"quadrature error estimate {err:.2e} exceeds "
                           f"tolerance {self.tol:.2e}", QuadratureWarning)

@@ -6,7 +6,8 @@ the upper tail; observations in the central region get residual zero.
 This module holds the pieces: the empirical functions, the one
 three-branch function `tau_branch`, which the population diagnostics use
 too, and the one-tail residual of the normal-error families. Each family's
-`residual` method picks the residual of its data; `tau_for_sample` calls it.
+`residual` picks the residual of its data; `tau_for_sample` hands it the
+sample-point values of the family's empirical functions.
 """
 
 from dataclasses import dataclass
@@ -56,53 +57,45 @@ def _rank_functions(order):
 class EmpiricalFunctions:
     """Empirical distribution/survival functions of a fixed sample.
 
-    For univariate data, F_n(x) = #{X_i <= x}/n and S_n(x) = #{X_i >= x}/n
-    are evaluated at arbitrary points in O(log n) from a sorted copy. At
-    the sample points `at_sample` gives either these counts or the rank
-    values F_n(X_(i)) = i/n and S_n(X_(i)) = (n - i + 1)/n, with tied
-    observations taking consecutive ranks; both are computed once.
-    Data of shape (n, 2) are bivariate: their four quadrant counters are
-    evaluated by direct counting, at the sample points once per sample.
-    Any other data are flattened.
-
-    `sample` is a read-only copy of the sample, (n,) or bivariate (n, 2).
+    The sample is (n,) or (n, 2), as `check_data` returns it, with n >= 1;
+    any other shape raises ValueError. F_n(x) = #{X_i <= x}/n and
+    S_n(x) = #{X_i >= x}/n are evaluated at arbitrary points in O(log n)
+    from a sorted copy, and the four quadrant masses of (n, 2) data by
+    direct counting. `sample` is a read-only copy of the sample.
     """
 
-    def __init__(self, data):
-        x = np.asarray(data, dtype=float)
-        self.bivariate = x.ndim == 2 and x.shape[1] == 2
-        x = x.reshape((-1, 2) if self.bivariate else -1).copy()
+    def __init__(self, data, discrete=False):
+        x = np.array(data, dtype=float, order="C")
+        if not (x.ndim == 1 or x.shape[1:] == (2,)) or len(x) < 1:
+            raise ValueError("empirical functions need a sample of shape "
+                             f"(n,) or (n, 2) with n >= 1, not {x.shape}")
         x.flags.writeable = False
-        self.sample = x
-        self.n = len(x)
-        if self.n < 1:
-            raise ValueError("need at least one observation")
-        if self.bivariate:
-            self._counted = self.quadrants(x)
+        self.sample, self.n = x, len(x)
+        if x.ndim == 2:
+            self._values = self.quadrants(x)
+        elif discrete:
+            self._sorted = np.sort(x)
+            self._values = self.cdf(x), self.survival(x)
         else:
             order = np.argsort(x, kind="stable")
             self._sorted = x[order]
-            self._ranked = _rank_functions(order)
-            self._counted = self.cdf(x), self.survival(x)
+            self._values = _rank_functions(order)
 
-    def at_sample(self, x, discrete=False):
-        """F_n and S_n at the sample points, in sample order.
-
-        For bivariate data this is the (n, 4) array of quadrant masses.
-
-        `x` must be the sample this object was built from; `sample` itself
-        passes without an O(n) comparison. Under a
-        continuous family ties have probability zero, so tied observations
-        take consecutive ranks rather than all being credited with their
-        group's whole mass on both sides. Under a discrete family ties are
-        part of the model: the inclusive counts F_n(x) and S_n(x) tend to
-        P(X <= x) and P(X >= x), which keeps the residual zero at the model.
-        """
+    def at_sample(self, x):
+        """The sample-point values the family's residual reads, in sample
+        order: the (n, 4) quadrant masses of (n, 2) data, else (F_n, S_n)
+        as inclusive counts if `discrete` and as ranks, F_n(X_(i)) = i/n
+        and S_n(X_(i)) = (n - i + 1)/n, if not. A continuous model gives
+        ties probability zero, so tied observations take consecutive
+        ranks; a discrete one makes them part of the model, and the counts
+        tend to P(X <= x) and P(X >= x), which keeps the residual zero at
+        the model. `x` must be the sample; `sample` itself passes without
+        an O(n) comparison."""
         if x is not self.sample and not np.array_equal(x, self.sample,
                                                        equal_nan=True):
             raise ValueError("sample points differ from the sample the "
                              "empirical functions were built from")
-        return self._counted if discrete or self.bivariate else self._ranked
+        return self._values
 
     def cdf(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -113,11 +106,13 @@ class EmpiricalFunctions:
         return (self.n - np.searchsorted(self._sorted, x, side="left")) / self.n
 
     def quadrants(self, xy):
-        """Empirical quadrant masses (ll, lg, gl, gg) at each point, (n, 4).
+        """Empirical quadrant masses (ll, lg, gl, gg) at (k, 2) points, (k, 4).
 
         The points are counted in blocks of about BLOCK_ELEMENTS
         comparisons, so the memory taken grows as n, not as n^2."""
-        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        xy = np.asarray(xy, dtype=float)
+        if xy.ndim != 2 or xy.shape[1] != 2:
+            raise ValueError(f"quadrant points must be (k, 2), not {xy.shape}")
         X, Y = self.sample[:, 0], self.sample[:, 1]
         counts = np.empty((len(xy), 4), dtype=np.intp)
         step = max(1, BLOCK_ELEMENTS // self.n)
@@ -198,12 +193,13 @@ def tau_for_sample(config, family, theta, data, empirical=_BUILD):
     empirical functions are built here `family.check_data`. A supplied
     `empirical` must be `family.empirical(data)` of checked data; a batch
     is read as it is, as the solver's blocks of one checked search are.
-    """
+    The residual reads `empirical.at_sample(data)` (None if no empirical)."""
     if empirical is _BUILD:
         data = family.check_data(data)
         empirical = family.empirical(data)
+    values = None if empirical is None else empirical.at_sample(data)
     if np.ndim(theta) == 2:
-        return family.residual(np.asarray(theta, dtype=float), data,
-                               empirical, config.p)
-    return family.residual(family.check_params(theta)[None, :], data,
-                           empirical, config.p)[0]
+        return family.residual(np.asarray(theta, dtype=float), data, values,
+                               config.p)
+    return family.residual(family.check_params(theta)[None, :], data, values,
+                           config.p)[0]

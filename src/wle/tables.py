@@ -217,9 +217,9 @@ def _table5():
 
 def _table6():
     """Weight separation pattern at the species-specific roots."""
-    x, rs = _lubischew_roots()
-    concinna = slice(0, 21)         # dataset stores the 21 concinna rows first
-    hepta = slice(21, 43)
+    _, rs = _lubischew_roots()
+    species = load_dataset("lubischew").column("species")
+    concinna, hepta = species == "concinna", species == "heptapotamica"
     root_c = min(rs.roots, key=lambda r: abs(r.theta[0] - 14.0644))
     root_h = min(rs.roots, key=lambda r: abs(r.theta[0] - 10.0480))
     root_m = min(rs.roots, key=lambda r: abs(r.theta[0] - 12.0483))

@@ -299,3 +299,20 @@ def test_family_methods_read_the_gated_arrays_as_they_are():
                 name = getattr(func, "id", None)
             if name in _CONVERTERS or name == "reshape":
                 assert not any(map(_is_input, args)), (fn.name, node.lineno)
+
+
+def test_only_tau_for_sample_reads_the_sample_point_values():
+    # the residual receives the sample-point values as arrays: no family
+    # method calls back into the empirical functions
+    assert _readers("at_sample") == {("residuals.py", "tau_for_sample")}
+
+
+def test_residuals_takes_the_sample_as_it_is():
+    # the empirical functions read the sample in the shape `check_data`
+    # returns, so residuals.py reshapes no sample
+    for node in ast.walk(_tree("residuals.py")):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "reshape"):
+            names = {n.id for part in (node.func.value, *node.args)
+                     for n in ast.walk(part) if isinstance(n, ast.Name)}
+            assert not names & {"x", "xy", "data"}, node.lineno

@@ -10,11 +10,14 @@ import pytest
 
 from wle import cli
 from wle.cli import _configs, _weight_spec, build_parser, main
+from wle.datasets import load_dataset
+from wle.diagnostics import curve_to_csv
+from wle.families import ellipse_polyline, get_family
 from wle.residuals import ResidualConfig
 from wle.simulate import SimulationPlan, run_simulation
-from wle.solver import RootSet, SolverConfig
+from wle.solver import RootSet, SolverConfig, solve_from
 from wle.tables import reproduce_table
-from wle.weights import DEFAULT_SPECS, KERNELS
+from wle.weights import DEFAULT_SPECS, KERNELS, GammaKernel
 
 
 def _run(capsys, *argv):
@@ -134,6 +137,24 @@ def test_diagnose_ellipse(capsys):
     header, rows = _csv_rows(out)
     assert header == ["x", "y"]
     assert len(rows) >= 32
+
+
+def test_diagnose_weighted_ellipse_is_table10_root(capsys):
+    # the default --weight-fn gamma solves from the MLE: the ellipse of
+    # table 10's weighted root, not the MLE's
+    ds = load_dataset("hertzsprung_russell")
+    xy = np.column_stack([ds.column("log_temperature"),
+                          ds.column("log_light")])
+    fam = get_family("bivariate_normal")
+    root = solve_from(fam, xy, ResidualConfig(kind="bivariate"),
+                      GammaKernel(1.01), SolverConfig(), fam.mle(xy))
+    argv = ["diagnose", "--ellipse", "--model", "bivariate_normal", "--data",
+            "hertzsprung_russell"]
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    assert out == curve_to_csv(["x", "y"], ellipse_polyline(root.theta))
+    _, mle_out = _run(capsys, *argv, "--weight-fn", "none")
+    assert mle_out != out
 
 
 def test_diagnose_requires_a_mode(capsys):

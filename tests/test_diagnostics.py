@@ -258,12 +258,46 @@ def test_scan_rejects_non_finite_grid_by_name(grid):
         mixture_root_scan(_normal_mixture(), GammaKernel(1.05), grid)
 
 
-@pytest.mark.parametrize("mu", [1e6, 1e300, -1e300])
+_MAX = np.finfo(float).max
+
+
+@pytest.mark.parametrize("mu", [1e6, 1e300, -1e300, _MAX, -_MAX])
 def test_population_score_far_out_is_zero_without_a_warning(mu):
     # every mixture point lies where the N(mu, 1) model tail is 0: its
     # residual is +inf and its weight 0, and the mixture density there
-    # underflows to 0 without an overflow warning
+    # underflows to 0 without an overflow warning; at the largest float
+    # the quadrature halves each panel's ends before it adds them, so no
+    # midpoint or half-width overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert population_weighted_score(_normal_mixture(),
                                          GammaKernel(1.05), mu) == 0.0
+
+
+def test_population_score_rejects_a_range_longer_than_any_float():
+    # the contaminant's range ends near 1e308 and the model's near -1e308:
+    # their span is not a float, and this is raised before any quadrature
+    norm = get_family("normal")
+    cs = ContaminationSpec(base=ModelDistribution(norm, (0.0, 1.0)), eps=0.2,
+                           contaminant=ModelDistribution(norm, (1e308, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^mu = -1e\+308: the range"):
+            population_weighted_score(cs, GammaKernel(1.05), -1e308)
+
+
+def test_population_score_hands_the_families_float_arrays(monkeypatch):
+    # a distribution's range comes from its checked float theta, not
+    # from the tuple it stores
+    norm = get_family("normal")
+    seen, real = [], type(norm).integration_range
+
+    def spy(self, theta):
+        seen.append(theta)
+        return real(self, theta)
+
+    monkeypatch.setattr(type(norm), "integration_range", spy)
+    population_weighted_score(_normal_mixture(), GammaKernel(1.05), 1.0)
+    assert len(seen) == 2
+    for theta in seen:
+        assert isinstance(theta, np.ndarray) and theta.dtype == float

@@ -261,3 +261,13 @@ def test_non_finite_integrand_raises_naming_the_panel(f, where):
             warnings.simplefilter("ignore", QuadratureWarning)
             Quadrature().integrate(f, 0.0, 1.0)
     assert str(exc.value) == f"integrand is not finite on {where}"
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 1.0), (-1.0, 1.0), (-1.0, -0.5)])
+def test_panels_next_to_the_largest_float_do_not_overflow(a, b):
+    # a panel's midpoint and half-width are formed from its halved ends,
+    # so neither overflows while both ends are floats
+    big = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Quadrature().integrate(np.zeros_like, a * big, b * big) == 0.0

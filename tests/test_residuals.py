@@ -1,5 +1,6 @@
 """Empirical-function conventions and tail-residual branch logic."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -50,8 +51,8 @@ def test_empirical_sample_point_ranks():
 def test_empirical_sample_points_discrete_and_checked():
     # under a discrete family the sample points keep the inclusive counts
     x = [1.0, 2.0, 2.0, 4.0]
-    emp = EmpiricalFunctions(x)
-    Fn, Sn = emp.at_sample(x, discrete=True)
+    emp = EmpiricalFunctions(x, discrete=True)
+    Fn, Sn = emp.at_sample(x)
     np.testing.assert_array_equal(Fn, [0.25, 0.75, 0.75, 1.0])
     np.testing.assert_array_equal(Sn, [1.0, 0.75, 0.75, 0.25])
     # rank values belong to one sample in one order
@@ -82,6 +83,26 @@ def test_sample_check_reads_a_private_copy(bivariate):
             emp.at_sample(other)
     x[0] = emp.sample[0]
     np.testing.assert_array_equal(emp.at_sample(x), ref)
+
+
+@pytest.mark.parametrize("name, draw, counts", [
+    ("normal", lambda rng: rng.normal(size=30), 0),
+    ("exponential", lambda rng: rng.exponential(size=30), 0),
+    ("poisson", lambda rng: rng.poisson(2.0, 30).astype(float), 1)])
+def test_a_search_builds_only_the_convention_it_reads(name, draw, counts,
+                                                      monkeypatch):
+    # a continuous family's residual reads the sample ranks and never the
+    # inclusive counts; a discrete one counts its sample points once
+    calls = {"cdf": 0, "survival": 0}
+    for attr in calls:
+        def spy(self, x, _real=getattr(EmpiricalFunctions, attr), _attr=attr):
+            calls[_attr] += 1
+            return _real(self, x)
+        monkeypatch.setattr(EmpiricalFunctions, attr, spy)
+    x = draw(np.random.default_rng(2))
+    bootstrap_root_search(get_family(name), x, ResidualConfig(),
+                          GammaKernel(1.01), SolverConfig(seed=0))
+    assert calls == {"cdf": counts, "survival": counts}
 
 
 def test_tied_sample_order_does_not_move_the_fit():
@@ -136,13 +157,29 @@ def test_empirical_cdf_plus_survival():
                 == pytest.approx(1.0 + atom))
 
 
-@pytest.mark.parametrize("shape", [(6,), (6, 1), (2, 3), (3, 2), (3, 2, 1)])
+@pytest.mark.parametrize("shape", [(6,), (6, 1), (2, 3), (3, 2), (3, 2, 1),
+                                   (0,), (), (0, 2)])
 def test_only_n_by_2_data_are_bivariate(shape):
-    # any other shape is flattened
-    emp = EmpiricalFunctions(np.arange(6.0).reshape(shape))
-    bivariate = shape == (3, 2)
-    assert emp.bivariate == bivariate
-    assert emp.sample.shape == ((3, 2) if bivariate else (6,))
+    # the sample is as `check_data` returns it: (n,) is univariate,
+    # (n, 2) bivariate, and every other shape raises, the empty one too
+    data = np.arange(float(np.prod(shape))).reshape(shape)
+    if shape in ((6,), (3, 2)):
+        emp = EmpiricalFunctions(data)
+        assert emp.sample.shape == shape
+        assert np.shape(emp.at_sample(data)) == ((3, 4) if len(shape) == 2
+                                                  else (2, 6))
+    else:
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            EmpiricalFunctions(data)
+
+
+def test_quadrant_points_must_be_pairs():
+    emp = EmpiricalFunctions(np.arange(6.0).reshape(3, 2))
+    assert emp.quadrants(np.array([[0.0, 1.0]])).shape == (1, 4)
+    for points in (np.arange(6.0), np.arange(6.0).reshape(2, 3),
+                   np.arange(6.0).reshape(3, 2, 1)):
+        with pytest.raises(ValueError, match="must be \\(k, 2\\)"):
+            emp.quadrants(points)
 
 
 def test_empirical_quadrants_sum():
