@@ -79,13 +79,15 @@ class Family:
 
     def check_data(self, x):
         """x as floats; raise DomainError for observations not of
-        `obs_shape`, non-finite ones and ones outside the support, in
-        that order."""
+        `obs_shape`, an empty sample, non-finite observations and ones
+        outside the support, in that order."""
         x = np.asarray(x, dtype=float)
         if x.ndim < 1 or x.shape[1:] != self.obs_shape:
             want = "".join(f" {d}" for d in self.obs_shape)
             raise DomainError(f"{self.name} data must have shape (n,{want}),"
                               f" not {x.shape}")
+        if not len(x):
+            raise DomainError(f"{self.name} data are empty: shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise DomainError("observations must be finite")
         self.check_support(x)
@@ -409,9 +411,13 @@ class BivariateNormal(Family):
         if p != 0.5:
             raise ValueError(f"p = {p}: the bivariate quadrant residual has "
                              "no tail fraction, so p must be 0.5")
-        q = np.stack(self.quadrant_probabilities(thetas, xy))
-        emp = values[np.arange(len(xy)), np.argmin(q, axis=0)]
-        return _tail_ratio(emp, q.min(axis=0))
+        q = self.quadrant_probabilities(thetas, xy)
+        pm, emp = q[0], values[:, 0]
+        for j in (1, 2, 3):  # a running minimum keeps the first of a tie
+            take = q[j] < pm
+            pm = np.where(take, q[j], pm)
+            emp = np.where(take, values[:, j], emp)
+        return _tail_ratio(emp, pm)
 
     def weighted_fit_batch(self, xy, w):
         sw = _weight_sums(w)

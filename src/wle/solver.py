@@ -242,9 +242,11 @@ def cluster_roots(roots):
     if not ranked:
         return []
     thetas = np.array([r.theta for r in ranked])
-    # near[i, j]: root i lies within ROOT_TOL of root j, in root i's norm
-    near = (np.max(np.abs(thetas[:, None, :] - thetas[None, :, :]), axis=2)
-            / (1.0 + np.max(np.abs(thetas), axis=1))[:, None]) < ROOT_TOL
+    # near[i, j]: root i lies within ROOT_TOL of root j, in root i's norm;
+    # the sup-norm distances are taken one parameter column at a time
+    dist = functools.reduce(np.maximum, (np.abs(c[:, None] - c[None, :])
+                                         for c in thetas.T))
+    near = dist / (1.0 + np.max(np.abs(thetas), axis=1))[:, None] < ROOT_TOL
     covered = np.zeros(len(ranked), dtype=bool)
     distinct = []
     for i, r in enumerate(ranked):
@@ -254,15 +256,95 @@ def cluster_roots(roots):
     return distinct
 
 
+# numpy SeedSequence's hash constants, and Philox4x64's round multipliers
+# and key increments (Salmon et al., SC 2011)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _MIX_L = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD
+_INIT_B, _MULT_B, _MIX_R = 0x8B51F9DD, 0x58F38DED, 0x4973F715
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _hash(value, const, mult):
+    """SeedSequence's hash of 32-bit words, and the next hash constant."""
+    nxt = const * mult & _MASK32
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words."""
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _restart_keys(seed, b):
+    """(2, b) uint64 Philox keys of `SeedSequence(seed, spawn_key=(i,))`,
+    i < b. The seed's words are mixed into the pool once, in Python ints;
+    the spawn key, the last word, enters the four pool words under hash
+    constants that do not depend on it, as one (4, b) round, and
+    `generate_state(2, uint64)` hashes the (4, b) pool the same way."""
+    words = [seed >> s & _MASK32 for s in range(0, seed.bit_length() or 1, 32)]
+    words += [0] * (4 - len(words))  # a spawn key pads the seed to the pool
+    const, pool = _INIT_A, []
+    for w in words[:4]:
+        v, const = _hash(w, const, _MULT_A)
+        pool.append(v)
+    for src, dst in [(s, d) for s in range(4) for d in range(4) if s != d]:
+        v, const = _hash(pool[src], const, _MULT_A)
+        pool[dst] = _mix(pool[dst], v)
+    for w, dst in [(w, d) for w in words[4:] for d in range(4)]:
+        v, const = _hash(w, const, _MULT_A)
+        pool[dst] = _mix(pool[dst], v)
+    powers = np.arange(4, dtype=np.uint32)[:, None]
+    v = _hash(np.arange(b, dtype=np.uint32), const * _MULT_A**powers, _MULT_A)
+    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], v[0])
+    state = _hash(pool, _INIT_B * _MULT_B**powers, _MULT_B)[0]
+    return state[0::2].astype(np.uint64) | state[1::2].astype(np.uint64) << 32
+
+
+def _philox_blocks(key, blocks):
+    """(b, 4 blocks) uint64 Philox4x64-10 output of counters (k, 0, 0, 0),
+    k = 1 .. blocks, under each of the b keys. Counter words 0 and 2 (x)
+    are multiplied, from 32-bit halves, and words 1 and 3 (y) are not."""
+    mult, bump = (np.array(c, dtype=np.uint64)[:, None, None]
+                  for c in (_PHILOX_M, _PHILOX_W))
+    lo32, hi32 = mult & _MASK32, mult >> 32
+    x = np.zeros((2, key.shape[1], blocks), dtype=np.uint64)
+    x[0] = np.arange(1, blocks + 1)
+    y, key = np.zeros_like(x), key[:, :, None]
+    for _ in range(10):  # uint64 array products and sums wrap mod 2**64
+        xl, xh = x & _MASK32, x >> 32
+        ll, hl = lo32 * xl, hi32 * xl
+        mid = (ll >> 32) + (hl & _MASK32) + lo32 * xh
+        hi = hi32 * xh + (hl >> 32) + (mid >> 32)
+        x, y, key = hi[::-1] ^ y ^ key, (mult * x)[::-1], key + bump
+    return np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(len(x[0]), -1)
+
+
 @functools.lru_cache(maxsize=1)
 def _subsample_indices(seed, b, n, m):
     """Read-only (b, m) subsample indices; restart i draws its row from its
-    own Philox stream. The indices depend on nothing else, so the last
+    own Philox stream, as numpy's `Generator(Philox(SeedSequence(seed,
+    spawn_key=(i,)))).integers(0, n, size=m)` bit for bit, and the b streams
+    are computed together. The indices depend on nothing else, so the last
     array serves the next search with the same arguments, such as the
     second kernel's search of a simulation replication."""
-    idx = np.array([np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(seed, spawn_key=(i,)))).integers(0, n, size=m)
-        for i in range(b)])
+    if not 0 < n <= 1 << 32:
+        raise ValueError(f"n = {n}: subsample indices need 0 < n <= 2**32")
+    key = _restart_keys(int(seed), b)
+    # numpy's bounded draw: each output's low 32-bit word, then its high
+    # word w gives (w n) >> 32, unless (w n) mod 2**32 < (2**32 - n) mod n
+    floor, blocks = ((1 << 32) - n) % n, -(-m // 8)
+    while True:
+        out = _philox_blocks(key, blocks)
+        wn = np.stack([out & _MASK32, out >> 32], axis=-1).reshape(b, -1) * n
+        ok = (wn & _MASK32) >= floor
+        if np.all(np.count_nonzero(ok, axis=1) >= m):
+            break
+        blocks *= 2
+    first = np.argsort(~ok, axis=1, kind="stable")[:, :m]
+    idx = np.take_along_axis(wn >> 32, first, axis=1).astype(np.int64)
     idx.flags.writeable = False
     return idx
 

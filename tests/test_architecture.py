@@ -114,6 +114,14 @@ def test_solver_holds_no_data_check_of_its_own():
     assert not called & {"check_support", "check_shape"}
 
 
+def test_solver_constructs_no_numpy_generator():
+    # the restart streams equal numpy's per-restart Philox streams and are
+    # computed in solver.py, so it names none of numpy's constructors
+    named = {getattr(node, "id", getattr(node, "attr", None))
+             for node in ast.walk(_tree("solver.py"))}
+    assert not named & {"Generator", "Philox", "SeedSequence"}
+
+
 _COLD_RUN = """
 import sys
 import wle

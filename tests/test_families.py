@@ -133,6 +133,25 @@ def test_bivariate_quadrants_sum_to_one():
     assert np.all(q > 0)
 
 
+def test_bivariate_residual_reads_the_first_smallest_quadrant(monkeypatch):
+    # each point reads the quadrant of smallest model probability; a tie
+    # goes to the first of ll, lg, gl, gg, and all-NaN probabilities give
+    # +inf. The four points: lg smallest, a three-way tie at ll, a gl-gg
+    # tie, and all NaN
+    fam = get_family("bivariate_normal")
+    q = tuple(np.array([row]) for row in ([0.2, 0.1, 0.3, np.nan],
+                                          [0.1, 0.1, 0.3, np.nan],
+                                          [0.1, 0.2, 0.05, np.nan],
+                                          [0.3, 0.1, 0.05, np.nan]))
+    monkeypatch.setattr(type(fam), "quadrant_probabilities",
+                        lambda self, thetas, xy: q)
+    values = np.arange(1.0, 17.0).reshape(4, 4) / 20
+    tau = fam.residual(np.zeros((1, 5)), np.zeros((4, 2)), values, 0.5)
+    emp, pm = values[[0, 1, 2, 3], [1, 0, 2, 0]], np.array([0.1, 0.1, 0.05])
+    np.testing.assert_array_equal(tau[0, :3], emp[:3] / pm - 1.0)
+    assert tau.shape == (1, 4) and tau[0, 3] == np.inf
+
+
 def test_bivariate_weighted_fit_matches_numpy():
     rng = np.random.default_rng(5)
     xy = rng.normal(size=(60, 2)) @ np.array([[1.0, 0.3], [0.0, 0.8]])

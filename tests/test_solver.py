@@ -683,6 +683,84 @@ def test_start_indices_memo_serves_each_sample_its_own_fits():
         idx[0, 0] = 0
 
 
+def _stream_cases():
+    """(seed, b, n, m) over seeds 0-199, 200 random 32-bit seeds and two
+    seeds of more than four 32-bit words; each seed runs every m, with n
+    and b cycling, so every (n, m) pair and b = 1 occur."""
+    rng = np.random.default_rng(11)
+    seeds = [*range(200), *map(int, rng.integers(0, 2**32, size=200)),
+             2**64 + 12345, 2**160 + 7]
+    ns = (2, 17, 30, 10_000, 2**31 + 1, 2**32)
+    return [(seed, 1 + (k + j) % 4, ns[(k + j) % len(ns)], m)
+            for k, seed in enumerate(seeds)
+            for j, m in enumerate((2, 3, 5, 9, 20))]
+
+
+def test_subsample_indices_are_numpy_philox_streams_bit_for_bit():
+    # every row equals numpy's own per-restart construction, as in
+    # `_one_at_a_time`; n = 2**31 + 1 rejects about half of all words, and
+    # m = 20 spans several Philox blocks
+    for seed, b, n, m in _stream_cases():
+        ref = np.array([np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=(i,)))).integers(
+                0, n, size=m) for i in range(b)])
+        idx = _subsample_indices(seed, b, n, m)
+        assert idx.dtype == ref.dtype and idx.shape == (b, m)
+        assert np.array_equal(idx, ref), (seed, b, n, m)
+    with pytest.raises(ValueError, match=r"n = 4294967297"):
+        _subsample_indices(0, 3, 2**32 + 1, 5)
+
+
+def test_a_search_on_a_new_seed_builds_no_numpy_generator(monkeypatch):
+    # the restart streams are computed, not constructed: a search builds
+    # no Generator, Philox or SeedSequence
+    x = load_dataset("newcomb").column("deviation")
+    built = []
+    for name in ("Generator", "Philox", "SeedSequence"):
+        def spy(*args, _cls=getattr(np.random, name), _name=name, **kw):
+            built.append(_name)
+            return _cls(*args, **kw)
+        monkeypatch.setattr(np.random, name, spy)
+    _subsample_indices.cache_clear()
+    rs = bootstrap_root_search(get_family("normal"), x, ResidualConfig(),
+                               GammaKernel(1.01), SolverConfig(seed=987))
+    assert rs.n_restarts == 51 and _subsample_indices.cache_info().misses == 1
+    assert built == []
+    np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))
+    assert built == ["SeedSequence", "Philox", "Generator"]  # the spy is live
+
+
+_THETA0 = {"poisson": [1.0], "normal": [0.0, 1.0], "normal_location": [0.0],
+           "exponential": [1.0], "bivariate_normal": [0.0, 0.0, 1.0, 1.0, 0.0],
+           "normal_regression": [0.0, 1.0, 1.0]}
+
+_EMPTY_ENTRIES = {
+    "check_data": lambda fam, x, theta0: fam.check_data(x),
+    "mle": lambda fam, x, theta0: fam.mle(x),
+    "solve_from": lambda fam, x, theta0: solve_from(
+        fam, x, ResidualConfig(kind=fam.kind), GammaKernel(1.1),
+        SolverConfig(), theta0),
+    "bootstrap_root_search": lambda fam, x, theta0: bootstrap_root_search(
+        fam, x, ResidualConfig(kind=fam.kind), GammaKernel(1.1),
+        SolverConfig(seed=0)),
+    "tau_for_sample": lambda fam, x, theta0: tau_for_sample(
+        ResidualConfig(kind=fam.kind), fam, theta0, x),
+}
+
+
+@pytest.mark.parametrize("entry", list(_EMPTY_ENTRIES))
+@pytest.mark.parametrize("name", sorted(_THETA0))
+def test_an_empty_sample_is_a_domain_error(entry, name):
+    # an empty sample fails at the gate, naming its shape, for every family
+    fam = get_family(name)
+    x = np.empty((0, *fam.obs_shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as exc:
+            _EMPTY_ENTRIES[entry](fam, x, np.array(_THETA0[name]))
+    assert str(exc.value) == f"{name} data are empty: shape {x.shape}"
+
+
 def test_huge_finite_outlier_gets_weight_zero():
     # a finite 1e300 overflows the squared deviations; the point gets
     # weight zero and the fit of the rest stands, with no numpy warning
