@@ -19,8 +19,8 @@ import numpy as np
 from scipy.special import gammaln, ndtr, pdtr, pdtrc
 
 from .bvn import bvn_cdf
-from .residuals import (EmpiricalFunctions, _normal_tau, _rank_functions,
-                        _tail_ratio, tau_branch)
+from .residuals import (EmpiricalFunctions, _branch_tau, _normal_tau,
+                        _rank_functions, _tail_ratio)
 
 
 class DomainError(ValueError):
@@ -55,7 +55,7 @@ class Family:
     def in_space(self, thetas):
         """Which rows of a (B, dim) batch lie in the parameter space: finite,
         with the `positive` coordinates > 0."""
-        ok = np.isfinite(thetas).all(axis=1)
+        ok = np.logical_and.reduce(np.isfinite(thetas), axis=1)
         for j in self.positive:
             ok &= thetas[:, j] > 0
         return ok
@@ -113,8 +113,9 @@ class Family:
 
     def residual(self, thetas, x, values, p):
         """(B, n) residuals under a (B, dim) batch from the sample-point
-        `values` (F_n, S_n) and tail fraction p, by `tau_branch`."""
-        return tau_branch(*values, *self.cdf_survival(thetas, x), p)
+        `values` (F_n, S_n) and tail fraction p, by `tau_branch`, under
+        the caller's float-error scope, like every residual."""
+        return _branch_tau(*values, *self.cdf_survival(thetas, x), p)
 
     def fisher_information(self, theta):
         raise NotImplementedError
@@ -146,25 +147,35 @@ class Family:
 
     # Batched pieces of the fixed-point iteration: row b of `thetas` or of
     # the weights `w` belongs to the b-th start, and x is the whole sample.
+    # Each is silent, running its `_rows` body in np.errstate; the solver's
+    # loop calls the bodies inside its one scope.
 
     def weighted_fit_batch(self, x, w):
         """weighted_fit for each row of a (B, n) weight batch, (B, dim).
 
         A row whose fit is degenerate comes back as NaN, one that
         overflows as NaN or inf."""
+        with np.errstate(all="ignore"):
+            return self.fit_rows(x, w)
+
+    def fit_rows(self, x, w):  # weighted_fit_batch, in the caller's scope
         raise NotImplementedError
 
     def weighted_score_batch(self, thetas, x, w):
-        """sum_i w_bi u_theta_b(x_i) for each row b, shape (B, dim).
+        """sum_i w_bi u_theta_b(x_i) for each row b, shape (B, dim)."""
+        with np.errstate(all="ignore"):
+            return self.score_rows(thetas, x, w)
+
+    def score_rows(self, thetas, x, w):
+        """`weighted_score_batch` under the caller's float-error scope.
 
         A point of weight zero stays out of the sum even when its score
         overflows (0 * inf = NaN); only rows that come back non-finite pay
         for the mask."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = self.score(thetas, x)
-            r = np.matmul(w[:, None, :], u)[:, 0]
-            for b in np.flatnonzero(~np.all(np.isfinite(r), axis=1)):
-                r[b] = w[b] @ np.where(w[b, :, None] > 0, u[b], 0.0)
+        u = self.score(thetas, x)
+        r = np.matmul(w[:, None, :], u)[:, 0]
+        for b in (~np.logical_and.reduce(np.isfinite(r), axis=1)).nonzero()[0]:
+            r[b] = w[b] @ np.where(w[b, :, None] > 0, u[b], 0.0)
         return r
 
 
@@ -184,14 +195,12 @@ class NormalErrors(Family):
     def residual(self, thetas, x, values, p):
         # a huge outlier over a tiny scale standardizes to +-inf: its
         # model tail is 0 and its weight 0
-        with np.errstate(over="ignore"):
-            z = self.residuals(thetas, x)
-        return _normal_tau(*values, z, p)
+        return _normal_tau(*values, self.residuals(thetas, x), p)
 
 
 def _weight_sums(w):
     """Row sums of a weight batch, NaN where the total weight collapsed."""
-    sw = w.sum(axis=1)
+    sw = np.add.reduce(w, axis=1)
     return np.where(sw < _WEIGHT_SUM_FLOOR, np.nan, sw)
 
 
@@ -229,7 +238,7 @@ class Poisson(Family):
         lam = theta[0]
         return 0.0, float(int(lam + 12 * np.sqrt(lam) + 30))
 
-    def weighted_fit_batch(self, x, w):
+    def fit_rows(self, x, w):
         lam = w @ x / _weight_sums(w)
         return np.where(lam > 0, lam, np.nan)[:, None]
 
@@ -249,7 +258,10 @@ class Normal(NormalErrors):
     def score(self, theta, x):
         s2 = theta[..., 1:2]
         d = x - theta[..., 0:1]
-        return np.stack([d / s2, (d * d - s2) / (2 * s2 * s2)], axis=-1)
+        u = np.empty((*d.shape, 2))
+        np.divide(d, s2, out=u[..., 0])
+        np.divide(d * d - s2, 2 * s2 * s2, out=u[..., 1])
+        return u
 
     def residuals(self, theta, x):
         return (x - theta[..., 0:1]) / np.sqrt(theta[..., 1:2])
@@ -265,20 +277,19 @@ class Normal(NormalErrors):
     def median(self, theta):
         return float(theta[0])
 
-    def weighted_fit_batch(self, x, w):
-        sw = _weight_sums(w)
-        mu = w @ x / sw
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = w * (x[None, :] - mu[:, None]) ** 2
-        s2 = t.sum(axis=1) / sw
+    def fit_rows(self, x, w):
+        sw, out = _weight_sums(w), np.empty((len(w), 2))
+        mu = np.divide(w @ x, sw, out=out[:, 0])
+        t = w * (x[None, :] - mu[:, None]) ** 2
+        s2 = np.add.reduce(t, axis=1) / sw
         # a point of weight zero stays out of the variance even when its
         # squared deviation overflows (0 * inf = NaN); a row that
         # overflows comes back inf. Only such rows pay for the mask.
         nan = np.isnan(s2)
-        if nan.any():
+        if np.logical_or.reduce(nan):
             s2[nan] = np.where(w[nan] > 0, t[nan], 0.0).sum(axis=1) / sw[nan]
-        s2 = np.where(s2 <= 0, np.nan, s2)
-        return np.column_stack([mu, s2])
+        out[:, 1] = np.where(s2 <= 0, np.nan, s2)
+        return out
 
 
 class Exponential(Family):
@@ -317,10 +328,9 @@ class Exponential(Family):
     def median(self, theta):
         return float(np.log(2.0) / theta[0])
 
-    def weighted_fit_batch(self, x, w):
-        m = w @ x / _weight_sums(w)
-        with np.errstate(divide="ignore"):  # a zero mean is a NaN row
-            return np.where(m > 0, 1.0 / m, np.nan)[:, None]
+    def fit_rows(self, x, w):
+        m = w @ x / _weight_sums(w)  # a zero mean is a NaN row
+        return np.where(m > 0, 1.0 / m, np.nan)[:, None]
 
 
 class NormalLocation(NormalErrors):
@@ -357,7 +367,7 @@ class NormalLocation(NormalErrors):
     def median(self, theta):
         return float(theta[0])
 
-    def weighted_fit_batch(self, x, w):
+    def fit_rows(self, x, w):
         return (w @ x / _weight_sums(w))[:, None]
 
 
@@ -419,23 +429,24 @@ class BivariateNormal(Family):
             emp = np.where(take, values[:, j], emp)
         return _tail_ratio(emp, pm)
 
-    def weighted_fit_batch(self, xy, w):
-        sw = _weight_sums(w)
-        mu1, mu2 = w @ xy[:, 0] / sw, w @ xy[:, 1] / sw
+    def fit_rows(self, xy, w):
+        sw, out = _weight_sums(w), np.empty((len(w), 5))
+        mu1, mu2, s1, s2, rho = out.T
+        np.divide(w @ xy[:, 0], sw, out=mu1)
+        np.divide(w @ xy[:, 1], sw, out=mu2)
         d1 = xy[:, 0] - mu1[:, None]
         d2 = xy[:, 1] - mu2[:, None]
         # a row whose moments overflow comes back non-finite and is dropped
-        with np.errstate(over="ignore", invalid="ignore"):
-            wd1 = w * d1
-            s1 = (wd1 * d1).sum(axis=1) / sw
-            s2 = (w * d2 * d2).sum(axis=1) / sw
-            c = (wd1 * d2).sum(axis=1) / sw
-            # weights collapsed onto about one point can leave s1, s2 > 0
-            # with a product that underflows to zero
-            v = s1 * s2
-            v = np.where((s1 <= 0) | (s2 <= 0) | (v <= 0), np.nan, v)
-            rho = np.clip(c / np.sqrt(v), -0.9999, 0.9999)
-        return np.column_stack([mu1, mu2, s1, s2, rho])
+        wd1 = w * d1
+        np.divide(np.add.reduce(wd1 * d1, axis=1), sw, out=s1)
+        np.divide(np.add.reduce(w * d2 * d2, axis=1), sw, out=s2)
+        c = np.add.reduce(wd1 * d2, axis=1) / sw
+        # weights collapsed onto about one point can leave s1, s2 > 0
+        # with a product that underflows to zero
+        v = s1 * s2
+        v = np.where((s1 <= 0) | (s2 <= 0) | (v <= 0), np.nan, v)
+        np.clip(c / np.sqrt(v), -0.9999, 0.9999, out=rho)
+        return out
 
 
 class NormalRegression(NormalErrors):
@@ -473,7 +484,7 @@ class NormalRegression(NormalErrors):
         return np.stack([e / sig**2, e * x / sig**2,
                          (e * e - sig**2) / sig**3], axis=-1)
 
-    def weighted_fit_batch(self, xy, w):
+    def fit_rows(self, xy, w):
         # weighted least squares on the centred covariate: the 2x2 normal
         # equations have determinant sw * sxx and solve in closed form
         x, y = xy[:, 0], xy[:, 1]
@@ -482,19 +493,19 @@ class NormalRegression(NormalErrors):
         dx = x - mx[:, None]
         wdx = w * dx
         # a huge covariate overflows sxx to inf: such a row is singular too
-        with np.errstate(over="ignore"):
-            sxx = (wdx * dx).sum(axis=1)
+        sxx = np.add.reduce(wdx * dx, axis=1)
         singular = ((sw * sxx < 1e-12 * np.maximum(1.0, sw * sw))
                     | np.isinf(sxx))
         sxx = np.where(singular, np.nan, sxx)
-        b1 = (wdx * (y - my[:, None])).sum(axis=1) / sxx
-        b0 = my - b1 * mx
+        out = np.empty((len(w), 3))
+        b1 = np.divide(np.add.reduce(wdx * (y - my[:, None]), axis=1), sxx,
+                       out=out[:, 1])
+        b0 = np.subtract(my, b1 * mx, out=out[:, 0])
         e = y - b0[:, None] - b1[:, None] * x
         # a row whose variance overflows comes back inf and is dropped
-        with np.errstate(over="ignore"):
-            s2 = (w * e * e).sum(axis=1) / sw
-        s2 = np.where(s2 <= 0, np.nan, s2)
-        return np.column_stack([b0, b1, np.sqrt(s2)])
+        s2 = np.add.reduce(w * e * e, axis=1) / sw
+        np.sqrt(np.where(s2 <= 0, np.nan, s2), out=out[:, 2])
+        return out
 
 
 FAMILIES = {

@@ -128,8 +128,7 @@ class EmpiricalFunctions:
 
 def _tail_ratio(tail, T):
     """tail / T - 1, with +inf wherever that is not finite."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tau = np.asarray(tail / T)
+    tau = np.asarray(tail / T)
     tau -= 1.0
     np.copyto(tau, np.inf, where=~np.isfinite(tau))
     return tau
@@ -143,6 +142,12 @@ def model_tail(F, S, p):
 
 
 def tau_branch(Fn, Sn, F, S, p):
+    """Three-branch residual, vectorized, silently; see `_branch_tau`."""
+    with np.errstate(all="ignore"):
+        return _branch_tau(Fn, Sn, F, S, p)
+
+
+def _branch_tau(Fn, Sn, F, S, p):
     """Three-branch residual, vectorized.
 
     Lower tail (F <= p): Fn / F - 1. Upper tail (F >= 1 - p):
@@ -173,7 +178,7 @@ def _normal_tau(Fn, Sn, z, p):
     np.negative(q, out=q)
     ndtr(q, out=q)
     if p < 0.5:
-        return tau_branch(Fn, Sn, ndtr(z), q, p)
+        return _branch_tau(Fn, Sn, ndtr(z), q, p)
     upper = z >= 0
     upper |= q == 0.5
     return _tail_ratio(np.where(upper, Sn, Fn), q)
@@ -189,14 +194,17 @@ def tau_for_sample(config, family, theta, data, empirical=_BUILD):
     `theta` is one parameter vector, giving n residuals, or a (B, dim)
     batch, giving one row of n residuals per parameter. Model tails that
     underflow give +inf residuals, so extreme outliers simply receive
-    weight zero. One vector passes `family.check_params`, and data whose
-    empirical functions are built here `family.check_data`. A supplied
-    `empirical` must be `family.empirical(data)` of checked data; a batch
-    is read as it is, as the solver's blocks of one checked search are.
+    weight zero. One vector passes `family.check_params`; data whose
+    empirical functions are built here pass `family.check_data`, and the
+    call is silent. A supplied `empirical` must be `family.empirical(data)`
+    of checked data, and the call runs in the caller's float-error scope,
+    as the solver's blocks of one search do; a batch is read as it is.
     The residual reads `empirical.at_sample(data)` (None if no empirical)."""
     if empirical is _BUILD:
         data = family.check_data(data)
-        empirical = family.empirical(data)
+        with np.errstate(all="ignore"):
+            return tau_for_sample(config, family, theta, data,
+                                  family.empirical(data))
     values = None if empirical is None else empirical.at_sample(data)
     if np.ndim(theta) == 2:
         return family.residual(np.asarray(theta, dtype=float), data, values,

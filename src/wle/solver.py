@@ -135,10 +135,12 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
     it has stalled at a numerical fixed point when its relative step is at
     most STALL_STEP without a solved score. Returns a list of Root-or-None
     aligned with theta0s: non-convergence is flagged, a non-finite start
-    or a degenerate or non-finite weighted fit gives None.
+    or a degenerate or non-finite weighted fit gives None. It runs in one
+    `np.errstate(all="ignore")` scope and calls bodies that enter none.
     """
     thetas = np.array(theta0s, dtype=float, ndmin=2)
     nstart, n = len(thetas), len(data)
+    tol, max_iter = solver_config.tol, solver_config.max_iter
     empirical = family.empirical(data)
     if empirical is not None:
         # its read-only copy of the sample passes the sample check by identity
@@ -146,72 +148,79 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
 
     # every residual, kernel and score acts row by row (regression ranks
     # each row, bivariate reads the quadrants per element), so blocks of
-    # rows give the whole batch's weights and certificates bit for bit
+    # rows give the whole batch's weights and certificates bit for bit;
+    # a batch of one block is passed as it is, with no buffer
     step = max(1, BLOCK_ELEMENTS // n)
 
-    def weights(th):
-        out = np.empty((len(th), n))
-        for i in range(0, len(th), step):
-            out[i:i + step] = weight_spec.weight(tau_for_sample(
-                residual_config, family, th[i:i + step], data, empirical))
+    def by_blocks(fn, cols, *arrays):  # fn of `step` rows at a time
+        if len(arrays[0]) <= step:
+            return fn(*arrays)
+        out = np.empty((len(arrays[0]), *cols))
+        for i in range(0, len(out), step):
+            out[i:i + step] = fn(*(a[i:i + step] for a in arrays))
         return out
+
+    def weights(th):
+        return weight_spec.weight_rows(tau_for_sample(
+            residual_config, family, th, data, empirical))
 
     def score_residuals(th, w):  # ||sum_i w_i u_theta(X_i)||_inf per row
-        out = np.empty(len(th))
-        for i in range(0, len(th), step):
-            out[i:i + step] = np.max(np.abs(family.weighted_score_batch(
-                th[i:i + step], data, w[i:i + step])), axis=1)
-        return out
+        return np.maximum.reduce(np.abs(family.score_rows(th, data, w)),
+                                 axis=1)
 
     roots = [None] * nstart         # each row's Root, built where it stops
-    ok = np.all(np.isfinite(thetas), axis=1)
-    active = np.flatnonzero(ok)     # rows still iterating, and for each:
-    x = thetas[active]              # its current point
-    w = weights(x)                  # its weights there
-    pf = pg = np.zeros_like(x)      # its last plain step f and fit g
-    pdelta = np.full(active.size, np.nan)  # its last relative step (NaN: none)
-    for it in range(1, solver_config.max_iter + 1):
-        g = family.weighted_fit_batch(data, w)
-        ok = np.all(np.isfinite(g), axis=1)
-        if not np.all(ok):
-            active, x, g, pf, pg, pdelta = (
-                a[ok] for a in (active, x, g, pf, pg, pdelta))
-        f = g - x
-        scale = 1.0 + np.max(np.abs(x), axis=1)
-        delta = np.max(np.abs(f), axis=1) / scale
-        # Anderson(1): step to g - gamma (g - g_prev), gamma = (df . f) /
-        # (df . df), one df over the row's scale against overflow. A row
-        # with no history, a near one, one whose step grew (its history
-        # restarts there) and one extrapolated out of the space step to g.
-        df = f - pf
-        q = df / scale[:, None]
-        gamma = np.vecdot(q, f) / (np.vecdot(q, df) + _TINY)
-        x = g - gamma[:, None] * (g - pg)
-        take = (delta <= pdelta) & (delta >= solver_config.tol)
-        x = np.where((take & family.in_space(x))[:, None], x, g)
-        pf, pg, pdelta = f, g, delta
-        w = weights(x)
-        # a near row is certified at x, which is its g; on the last
-        # iteration every row stops, out of iterations unless certified
-        near, last = delta < solver_config.tol, it == solver_config.max_iter
-        check = np.flatnonzero(near | last)
-        if check.size:
-            r = score_residuals(x[check], w[check])
-            conv = near[check] & (r < SCORE_RESIDUAL_TOL * n)
-            stop = conv | (delta[check] <= STALL_STEP) | last
-            out = check[stop]
-            # the stopped rows' copies, so no Root holds the whole batch
-            for i, xi, wi, c, ri in zip(active[out], x[out], w[out],
-                                        conv[stop], r[stop]):
-                roots[i] = Root(theta=xi, weights=wi,
-                                weight_sum=float(wi.sum()), iterations=it,
-                                converged=bool(c), score_residual=float(ri))
-            keep = np.ones(active.size, dtype=bool)
-            keep[out] = False
-            active, x, w, pf, pg, pdelta = (
-                a[keep] for a in (active, x, w, pf, pg, pdelta))
-        if not active.size:
-            break
+    with np.errstate(all="ignore"):
+        ok = np.logical_and.reduce(np.isfinite(thetas), axis=1)
+        active = ok.nonzero()[0]    # rows still iterating, and for each:
+        x = thetas[active]          # its current point
+        w = by_blocks(weights, (n,), x)  # its weights there
+        pf = pg = np.zeros_like(x)  # its last plain step f and fit g
+        pdelta = np.full(active.size, np.nan)  # its last relative step, or NaN
+        for it in range(1, max_iter + 1):
+            g = family.fit_rows(data, w)
+            ok = np.logical_and.reduce(np.isfinite(g), axis=1)
+            if not np.logical_and.reduce(ok):
+                keep = ok.nonzero()[0]
+                active, x, g, pf, pg, pdelta = (
+                    a.take(keep, 0) for a in (active, x, g, pf, pg, pdelta))
+            f = g - x
+            scale = 1.0 + np.maximum.reduce(np.abs(x), axis=1)
+            delta = np.maximum.reduce(np.abs(f), axis=1) / scale
+            # Anderson(1): step to g - gamma (g - g_prev), gamma = (df.f) /
+            # (df.df), one df over the row's scale against overflow. A row
+            # with no history, a near one, one whose step grew (its history
+            # restarts there) and one extrapolated out of the space step to g
+            df = f - pf
+            q = df / scale[:, None]
+            gamma = np.vecdot(q, f) / (np.vecdot(q, df) + _TINY)
+            x = g - gamma[:, None] * (g - pg)
+            take = (delta <= pdelta) & (delta >= tol)
+            x = np.where((take & family.in_space(x))[:, None], x, g)
+            pf, pg, pdelta = f, g, delta
+            w = by_blocks(weights, (n,), x)
+            # a near row is certified at x, which is its g; on the last
+            # iteration every row stops, out of iterations unless certified
+            near, last = delta < tol, it == max_iter
+            check = (near | last).nonzero()[0]
+            if check.size:
+                r = by_blocks(score_residuals, (), x[check], w[check])
+                conv = near[check] & (r < SCORE_RESIDUAL_TOL * n)
+                stop = conv | (delta[check] <= STALL_STEP) | last
+                out = check[stop]
+                # the stopped rows' copies, so no Root holds the whole batch
+                for i, xi, wi, c, ri in zip(active[out], x[out], w[out],
+                                            conv[stop], r[stop]):
+                    roots[i] = Root(theta=xi, weights=wi,
+                                    weight_sum=float(np.add.reduce(wi)),
+                                    iterations=it, converged=bool(c),
+                                    score_residual=float(ri))
+                keep = np.ones(active.size, dtype=bool)
+                keep[out] = False
+                keep = keep.nonzero()[0]
+                active, x, w, pf, pg, pdelta = (
+                    a.take(keep, 0) for a in (active, x, w, pf, pg, pdelta))
+            if not active.size:
+                break
     return roots
 
 

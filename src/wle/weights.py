@@ -35,14 +35,17 @@ class WeightFunction:
     def weight(self, tau):
         """H(tau) in [0, 1]; tau <= -1 (and tau = inf) map to 0."""
         tau, scalar = _prep(tau)
-        # the kernel runs silently on every entry; those outside
-        # -1 < tau < inf, NaN included, are then set to 0. exp is never
-        # negative, so only the rounding above 1 needs clipping
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = self._log_weight(tau)
-            np.exp(out, out=out)
+        with np.errstate(all="ignore"):
+            return _finish(self.weight_rows(tau), scalar)
+
+    def weight_rows(self, tau):
+        """`weight` of a float array under the caller's float-error scope:
+        the kernel runs on every entry, then entries outside -1 < tau < inf,
+        NaN included, are 0; exp is never negative, so only 1 clips."""
+        out = self._log_weight(tau)
+        np.exp(out, out=out)
         out[~((tau > -1.0) & (tau < np.inf))] = 0.0
-        return _finish(np.minimum(out, 1.0, out=out), scalar)
+        return np.minimum(out, 1.0, out=out)
 
     def weight_derivative(self, tau):
         """H'(tau) for tau > -1 (analytic log-derivative times H)."""

@@ -940,3 +940,54 @@ def test_valid_data_with_ties_and_zeros_search_without_warnings(name, values,
                                   GammaKernel(1.1), SolverConfig(seed=seed))
         except DegenerateFitError:
             pass  # a sample that leaves no root is a typed failure
+
+
+def _unit_samples():
+    """27 standard normal draws with outliers at 5, 6 and 7, and 30
+    exponential draws from the same generator."""
+    rng = np.random.default_rng(3)
+    normal = np.r_[rng.normal(size=27), 5.0, 6.0, 7.0]
+    return {"normal": normal, "exponential": rng.exponential(size=30)}
+
+
+@pytest.mark.parametrize("name", ["normal", "exponential"])
+def test_a_search_in_any_units_gives_roots_or_a_typed_error(name):
+    # the sample at x10^k, k = -150 ... 150 in steps of 10: each search
+    # returns roots or raises DegenerateFitError, and no float warning
+    # escapes (at x1e-90 and below the normal score's 2 s2^2 underflows
+    # to zero during certification). Which of the two happens is not
+    # pinned: the solver's tolerances are in absolute units
+    fam, x = get_family(name), _unit_samples()[name]
+    for k in range(-150, 151, 10):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rs = bootstrap_root_search(fam, x * 10.0**k, ResidualConfig(),
+                                           GammaKernel(1.01), SolverConfig())
+            except DegenerateFitError:
+                continue
+        assert rs.roots, k
+
+
+def test_a_search_enters_float_error_scopes_independent_of_iterations(
+        monkeypatch):
+    # the whole iteration runs under one float-error scope; the fits of
+    # the subsample starts and of the MLE start enter one each. So a
+    # search enters the same few scopes however many iterations it runs
+    errstate, entered = np.errstate, []
+
+    def counting(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counting)
+    counts, iterations = [], []
+    for cfg in (SolverConfig(seed=0, max_iter=5), SolverConfig(seed=0)):
+        entered.clear()
+        rs = bootstrap_root_search(get_family("normal"), _mixture_sample(),
+                                   ResidualConfig(), GammaKernel(1.01), cfg)
+        counts.append(len(entered))
+        iterations.append(max(r.iterations
+                              for r in rs.roots + rs.non_converged))
+    assert iterations[0] == 5 < iterations[1]
+    assert counts[0] == counts[1] <= 3
