@@ -395,14 +395,15 @@ class BivariateNormal(Family):
         s1, s2 = theta[..., 2:3], theta[..., 3:4]
         z1, z2, rho = self._standardize(theta, xy)
         r2 = 1 - rho * rho
-        return np.stack([
-            (z1 - rho * z2) / (np.sqrt(s1) * r2),
-            (z2 - rho * z1) / (np.sqrt(s2) * r2),
-            (-1.0 + (z1 * z1 - rho * z1 * z2) / r2) / (2 * s1),
-            (-1.0 + (z2 * z2 - rho * z1 * z2) / r2) / (2 * s2),
-            (rho / r2
-             + (z1 * z2 * (1 + rho * rho) - rho * (z1**2 + z2**2)) / r2**2),
-        ], axis=-1)
+        z11, z22, rz12 = z1 * z1, z2 * z2, rho * z1 * z2
+        u = np.empty((*z1.shape, 5))
+        np.divide(z1 - rho * z2, np.sqrt(s1) * r2, out=u[..., 0])
+        np.divide(z2 - rho * z1, np.sqrt(s2) * r2, out=u[..., 1])
+        np.divide(-1.0 + (z11 - rz12) / r2, 2 * s1, out=u[..., 2])
+        np.divide(-1.0 + (z22 - rz12) / r2, 2 * s2, out=u[..., 3])
+        np.add(rho / r2, (z1 * z2 * (1 + rho * rho) - rho * (z11 + z22))
+               / r2**2, out=u[..., 4])
+        return u
 
     def quadrant_probabilities(self, theta, xy):
         """Quadrant probabilities (ll, lg, gl, gg) at each point, a tuple of

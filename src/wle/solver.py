@@ -133,9 +133,13 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
     ||sum_i w_i u_theta(X_i)||_inf < SCORE_RESIDUAL_TOL * n (ill-scaled
     parameters need extra iterations after the step is small);
     it has stalled at a numerical fixed point when its relative step is at
-    most STALL_STEP without a solved score. Returns a list of Root-or-None
-    aligned with theta0s: non-convergence is flagged, a non-finite start
-    or a degenerate or non-finite weighted fit gives None. It runs in one
+    most STALL_STEP without a solved score. A converged row takes one more
+    step while other rows iterate: if its next point converges too, its
+    Root is a fixed point to `tol` and takes in every row whose current
+    point comes within ROOT_TOL of it, by the clustering rule; such a row
+    stops as that same Root object. Returns a list of Root-or-None aligned
+    with theta0s: non-convergence is flagged, a non-finite start or a
+    degenerate or non-finite weighted fit gives None. It runs in one
     `np.errstate(all="ignore")` scope and calls bodies that enter none.
     """
     thetas = np.array(theta0s, dtype=float, ndmin=2)
@@ -169,6 +173,8 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
                                  axis=1)
 
     roots = [None] * nstart         # each row's Root, built where it stops
+    fixed = []                      # the Roots whose next point converged,
+    at = np.empty((0, thetas.shape[1]))  # and their thetas
     with np.errstate(all="ignore"):
         ok = np.logical_and.reduce(np.isfinite(thetas), axis=1)
         active = ok.nonzero()[0]    # rows still iterating, and for each:
@@ -176,13 +182,15 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
         w = by_blocks(weights, (n,), x)  # its weights there
         pf = pg = np.zeros_like(x)  # its last plain step f and fit g
         pdelta = np.full(active.size, np.nan)  # its last relative step, or NaN
+        held = np.zeros(active.size, dtype=bool)  # whether it converged there
         for it in range(1, max_iter + 1):
             g = family.fit_rows(data, w)
             ok = np.logical_and.reduce(np.isfinite(g), axis=1)
             if not np.logical_and.reduce(ok):
                 keep = ok.nonzero()[0]
-                active, x, g, pf, pg, pdelta = (
-                    a.take(keep, 0) for a in (active, x, g, pf, pg, pdelta))
+                active, x, g, pf, pg, pdelta, held = (
+                    a.take(keep, 0)
+                    for a in (active, x, g, pf, pg, pdelta, held))
             f = g - x
             scale = 1.0 + np.maximum.reduce(np.abs(x), axis=1)
             delta = np.maximum.reduce(np.abs(f), axis=1) / scale
@@ -198,27 +206,53 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
             x = np.where((take & family.in_space(x))[:, None], x, g)
             pf, pg, pdelta = f, g, delta
             w = by_blocks(weights, (n,), x)
-            # a near row is certified at x, which is its g; on the last
-            # iteration every row stops, out of iterations unless certified
+            # a near row converges at x, which is its g. A held row stops,
+            # and its Root is fixed if it converges again at x
             near, last = delta < tol, it == max_iter
-            check = (near | last).nonzero()[0]
+            check = (near | last | held).nonzero()[0]
             if check.size:
                 r = by_blocks(score_residuals, (), x[check], w[check])
                 conv = near[check] & (r < SCORE_RESIDUAL_TOL * n)
-                stop = conv | (delta[check] <= STALL_STEP) | last
-                out = check[stop]
-                # the stopped rows' copies, so no Root holds the whole batch
+                fixed += (roots[i] for i in active[check[held[check] & conv]])
+            gone = held                 # the rows that stop here
+            # a row whose point is near a fixed Root stops as that Root
+            if fixed:
+                if len(at) < len(fixed):
+                    at = np.array([r.theta for r in fixed])
+                close = _near_roots(x, at)
+                hit = np.logical_or.reduce(close, axis=1)
+                if np.logical_or.reduce(hit):
+                    hit &= ~held
+                    for i, j in zip(active[hit], close[hit].argmax(axis=1)):
+                        roots[i] = fixed[j]
+                    gone = gone | hit
+            # any other converged row is held for one more step, unless
+            # this is the last; a stalled row and, on the last iteration,
+            # every row stop, out of iterations unless converged
+            if check.size:
+                new = ~gone[check] & (conv | (delta[check] <= STALL_STEP)
+                                      | last)
+                out = check[new]
+                # the rows' copies, so no Root holds the whole batch
                 for i, xi, wi, c, ri in zip(active[out], x[out], w[out],
-                                            conv[stop], r[stop]):
+                                            conv[new], r[new]):
                     roots[i] = Root(theta=xi, weights=wi,
                                     weight_sum=float(np.add.reduce(wi)),
                                     iterations=it, converged=bool(c),
                                     score_residual=float(ri))
-                keep = np.ones(active.size, dtype=bool)
-                keep[out] = False
-                keep = keep.nonzero()[0]
-                active, x, w, pf, pg, pdelta = (
-                    a.take(keep, 0) for a in (active, x, w, pf, pg, pdelta))
+                hold = new & conv & (not last)
+                gone = gone.copy()
+                gone[check[new & ~hold]] = True
+                held = np.zeros(active.size, dtype=bool)
+                held[check[hold]] = True
+            if gone is not held:        # a row may have stopped
+                # held rows wait only while other rows may come near them
+                if not np.logical_or.reduce(~(gone | held)):
+                    break
+                keep = (~gone).nonzero()[0]
+                active, x, w, pf, pg, pdelta, held = (
+                    a.take(keep, 0)
+                    for a in (active, x, w, pf, pg, pdelta, held))
             if not active.size:
                 break
     return roots
@@ -241,6 +275,15 @@ def solve_from(family, data, residual_config, weight_spec, solver_config,
     return root
 
 
+def _near_roots(thetas, roots):
+    """near[i, j]: row i of `thetas` lies within ROOT_TOL of row j of
+    `roots` in sup-norm, relative to its own 1 + max|theta|; the distances
+    are taken one parameter column at a time."""
+    dist = functools.reduce(np.maximum, (np.abs(t[:, None] - r[None, :])
+                                         for t, r in zip(thetas.T, roots.T)))
+    return dist / (1.0 + np.max(np.abs(thetas), axis=1))[:, None] < ROOT_TOL
+
+
 def cluster_roots(roots):
     """Deduplicate converged roots; keep the highest-weight representative.
 
@@ -251,11 +294,7 @@ def cluster_roots(roots):
     if not ranked:
         return []
     thetas = np.array([r.theta for r in ranked])
-    # near[i, j]: root i lies within ROOT_TOL of root j, in root i's norm;
-    # the sup-norm distances are taken one parameter column at a time
-    dist = functools.reduce(np.maximum, (np.abs(c[:, None] - c[None, :])
-                                         for c in thetas.T))
-    near = dist / (1.0 + np.max(np.abs(thetas), axis=1))[:, None] < ROOT_TOL
+    near = _near_roots(thetas, thetas)
     covered = np.zeros(len(ranked), dtype=bool)
     distinct = []
     for i, r in enumerate(ranked):
@@ -395,15 +434,14 @@ def _choose_index(roots, n, solver_config):
 
 def build_root_set(roots, n, solver_config, n_skipped_subsamples=0):
     """Cluster, rank and apply the root-selection rule to one Root-or-None
-    per start, reading the start counts off `roots`. With no converged
-    root this raises DegenerateFitError, counting the starts that
-    degenerated (None), those that did not certify, and the skipped
-    subsamples."""
+    per start (starts may share one), reading the start counts off `roots`.
+    With no converged root this raises DegenerateFitError, counting the
+    starts that degenerated (None), those that did not certify, and the
+    skipped subsamples."""
     n_failed = sum(r is None for r in roots)
-    converged = [r for r in roots if r is not None and r.converged]
-    non_conv = cluster_roots(
-        [r for r in roots if r is not None and not r.converged])
-    distinct = cluster_roots(converged)
+    found = {id(r): r for r in roots if r is not None}.values()
+    non_conv = cluster_roots([r for r in found if not r.converged])
+    distinct = cluster_roots([r for r in found if r.converged])
     if not distinct:
         raise DegenerateFitError(
             f"no converged roots found: of {len(roots)} starts, {n_failed}"

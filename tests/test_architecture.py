@@ -188,14 +188,15 @@ def test_cli_flags_restate_no_field_default():
 
 
 def _readers(attr):
-    """(module, innermost function) of every read of `.attr` in src."""
+    """(module, innermost function) of every read of `.attr`, or of the
+    bare name `attr`, in src."""
     found = set()
 
     def visit(node, module, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if (isinstance(node, ast.Attribute) and node.attr == attr
-                and isinstance(node.ctx, ast.Load)):
+        if (attr in (getattr(node, "attr", None), getattr(node, "id", None))
+                and isinstance(getattr(node, "ctx", None), ast.Load)):
             found.add((module, where))
         for child in ast.iter_child_nodes(node):
             visit(child, module, where)
@@ -209,6 +210,13 @@ def test_one_function_reads_the_minimum_subsample():
     # the subsample size max(bootstrap_m, min_subsample) and its check on
     # n have one home
     assert _readers("min_subsample") == {("solver.py", "subsample_size")}
+
+
+def test_one_rule_says_a_theta_is_near_a_root():
+    # clustering and the loop's stop at a fixed root read the near-root
+    # rule, ROOT_TOL relative to the candidate's 1 + max|theta|, from one
+    # helper
+    assert _readers("ROOT_TOL") == {("solver.py", "_near_roots")}
 
 
 def test_run_simulation_keeps_no_per_estimator_list():

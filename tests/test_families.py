@@ -173,6 +173,41 @@ def test_bivariate_score_zero_at_mle():
     np.testing.assert_allclose(u.sum(axis=0), 0.0, atol=1e-8)
 
 
+def _bivariate_score_stacked(theta, xy):
+    """The bivariate score as five stacked expressions, each product
+    written out where it is used."""
+    s1, s2 = theta[..., 2:3], theta[..., 3:4]
+    z1, z2, rho = get_family("bivariate_normal")._standardize(theta, xy)
+    r2 = 1 - rho * rho
+    return np.stack([
+        (z1 - rho * z2) / (np.sqrt(s1) * r2),
+        (z2 - rho * z1) / (np.sqrt(s2) * r2),
+        (-1.0 + (z1 * z1 - rho * z1 * z2) / r2) / (2 * s1),
+        (-1.0 + (z2 * z2 - rho * z1 * z2) / r2) / (2 * s2),
+        (rho / r2
+         + (z1 * z2 * (1 + rho * rho) - rho * (z1**2 + z2**2)) / r2**2),
+    ], axis=-1)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3, 51])
+def test_bivariate_score_fills_the_stacked_expressions_bit_for_bit(rows):
+    # the score computes each shared product once into one array and
+    # gives the five written-out expressions bit for bit, for one theta
+    # and for batches
+    rng = np.random.default_rng(rows or 0)
+    fam = get_family("bivariate_normal")
+    for _ in range(20):
+        b = rows or 1
+        theta = np.column_stack([
+            rng.normal(0, 3, b), rng.normal(0, 3, b), rng.uniform(1e-3, 5, b),
+            rng.uniform(1e-3, 5, b), rng.uniform(-0.999, 0.999, b)])
+        theta = theta[0] if rows is None else theta
+        xy = rng.normal(0, 2, (int(rng.integers(1, 80)), 2))
+        got, ref = fam.score(theta, xy), _bivariate_score_stacked(theta, xy)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_regression_weighted_fit_matches_lstsq():
     rng = np.random.default_rng(8)
     x = rng.uniform(0, 10, 50)

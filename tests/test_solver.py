@@ -1,5 +1,6 @@
 """Root search: convergence, determinism, equivariance, selection rule."""
 
+import copy
 import gc
 import tracemalloc
 import warnings
@@ -360,34 +361,62 @@ def _single_start(*args):
         return None
 
 
+def _same_path(one, row):
+    """`one` iterated as `row`: the same iterations, theta and weights."""
+    return (one is not None and one.converged
+            and one.iterations == row.iterations
+            and np.allclose(one.theta, row.theta, rtol=1e-10, atol=0.0)
+            and np.allclose(one.weights, row.weights, rtol=1e-10, atol=1e-13))
+
+
+def _by_root(batch, other):
+    """Each converged Root object of `batch`, with the `other` entries of
+    the starts that returned it."""
+    groups = {}
+    for row, o in zip(batch, other):
+        if row is not None and row.converged:
+            groups.setdefault(id(row), (row, []))[1].append(o)
+    return list(groups.values())
+
+
+def _is_fixed(fam, data, rc, spec, cfg, root):
+    """solve_from from `root` certifies it again in one plain step below
+    `tol`."""
+    again = solve_from(fam, data, rc, spec, cfg, root.theta)
+    return (again.converged and again.iterations == 1
+            and (np.max(np.abs(again.theta - root.theta))
+                 / (1.0 + np.max(np.abs(root.theta)))) < cfg.tol)
+
+
 @pytest.mark.parametrize("case", sorted(_SEARCHES))
 def test_search_matches_single_start_path(case):
-    # every start that converges in the batch iterates exactly as
-    # solve_from from that start (the batch of one), and every root is a
-    # fixed point of it. Starts drawn into a degenerate sigma -> 0
-    # attractor amplify rounding noise; they only have to fail both ways.
+    # the start that certifies a root iterates exactly as solve_from from
+    # that start (the batch of one), and solve_from from every root
+    # certifies it again. A start that stopped on coming near a root
+    # shares that Root, which is a fixed point to tol; from its own start,
+    # solve_from converges to a root that clusters with it. Starts drawn
+    # into a degenerate sigma -> 0 attractor amplify rounding noise; they
+    # only have to fail both ways.
     name, data, kind, spec = _SEARCHES[case]()
     fam, rc, cfg = get_family(name), ResidualConfig(kind=kind), \
         SolverConfig(seed=0)
     starts, _ = _subsample_starts(fam, data, cfg)
     starts.insert(0, fam.mle(data))
     batch = _solve_batch(fam, data, rc, spec, cfg, np.asarray(starts))
-    for th0, row in zip(starts, batch):
-        one = _single_start(fam, data, rc, spec, cfg, th0)
+    ones = [_single_start(fam, data, rc, spec, cfg, th0) for th0 in starts]
+    for one, row in zip(ones, batch):
         if row is None or not row.converged:
             assert one is None or not one.converged
-            continue
-        assert one.converged and one.iterations == row.iterations
-        np.testing.assert_allclose(one.theta, row.theta, rtol=1e-10)
-        np.testing.assert_allclose(one.weights, row.weights, rtol=1e-10,
-                                   atol=1e-13)
+    for row, group in _by_root(batch, ones):
+        assert any(_same_path(one, row) for one in group)
+        for one in group:
+            assert one is not None and one.converged
+            assert len(cluster_roots([row, one])) == 1
+        assert len(group) == 1 or _is_fixed(fam, data, rc, spec, cfg, row)
     rs = bootstrap_root_search(fam, data, rc, spec, cfg)
     assert rs.roots
     for r in rs.roots:
-        again = solve_from(fam, data, rc, spec, cfg, r.theta)
-        assert again.converged and again.iterations == 1
-        assert (np.max(np.abs(again.theta - r.theta))
-                / (1.0 + np.max(np.abs(r.theta)))) < cfg.tol
+        assert _is_fixed(fam, data, rc, spec, cfg, r)
 
 
 def _row_bits(roots):
@@ -482,6 +511,66 @@ def test_bivariate_search_rejects_a_tail_fraction():
                               SolverConfig(seed=0))
 
 
+def _newcomb_batch():
+    x = load_dataset("newcomb").column("deviation")
+    fam, rc, spec, cfg = (get_family("normal"), ResidualConfig(),
+                          GammaKernel(1.01), SolverConfig(seed=0))
+    starts, _ = _subsample_starts(fam, x, cfg)
+    starts.insert(0, fam.mle(x))
+    return fam, x, rc, spec, cfg, _solve_batch(fam, x, rc, spec, cfg,
+                                               np.asarray(starts))
+
+
+def test_starts_that_reach_a_fixed_root_share_it():
+    # on newcomb every start reaches one root; the starts that come within
+    # ROOT_TOL of it once it is certified, and its next point passes too,
+    # stop there and return that Root, which passes the certificate at its
+    # own theta and weights
+    fam, x, rc, spec, cfg, batch = _newcomb_batch()
+    n, groups = len(x), _by_root(batch, range(len(batch)))
+    assert all(r is not None and r.converged for r in batch)
+    assert any(len(starts) > 1 for _, starts in groups)
+    for root, _ in groups:
+        assert root.score_residual < SCORE_RESIDUAL_TOL * n
+        w = spec.weight(tau_for_sample(rc, fam, root.theta, x))
+        np.testing.assert_array_equal(w, root.weights)
+        u = fam.weighted_score_batch(root.theta[None], x, w[None])
+        assert np.max(np.abs(u)) < SCORE_RESIDUAL_TOL * n
+    rs = build_root_set(batch, n, cfg)
+    assert len(rs.roots) == 1 and rs.n_restarts == len(batch) == 51
+
+
+def test_root_set_of_shared_roots_equals_that_of_copies():
+    # clustering reads each Root object once; a list that repeats Root
+    # objects gives the root set of the same list with distinct copies
+    _, x, _, _, cfg, batch = _newcomb_batch()
+    assert len({id(r) for r in batch}) < len(batch)
+    copies = [copy.copy(r) for r in batch]
+    assert build_root_set(batch, len(x), cfg).summary() == \
+        build_root_set(copies, len(x), cfg).summary()
+    three = [_fake_root(9.0, mu=0.0), _fake_root(5.0, mu=1.0),
+             _fake_root(3.0, mu=2.0)]
+    shared = [three[i % 3] for i in range(51)] + [None]
+    rs = build_root_set(shared, 30, SolverConfig())
+    assert len(cluster_roots(shared[:51])) == 3
+    assert [r.weight_sum for r in rs.roots] == [9.0, 5.0, 3.0]
+    assert (rs.n_restarts, rs.n_failed) == (52, 1)
+
+
+@pytest.mark.parametrize("case", ["animals", "voltage_drop"])
+def test_a_start_that_stalls_is_never_coalesced(case):
+    # only converged roots take in other starts: each row that stopped
+    # uncertified holds a Root of its own (that a start which does not
+    # certify alone does not certify in the batch is checked above)
+    name, data, kind, spec = _SEARCHES[case]()
+    fam, rc, cfg = get_family(name), ResidualConfig(kind=kind), \
+        SolverConfig(seed=0)
+    starts, _ = _subsample_starts(fam, data, cfg)
+    batch = _solve_batch(fam, data, rc, spec, cfg, np.asarray(starts))
+    stuck = [r for r in batch if r is not None and not r.converged]
+    assert stuck and len({id(r) for r in stuck}) == len(stuck)
+
+
 @pytest.mark.parametrize("case", ["animals", "voltage_drop"])
 def test_stuck_rows_stall_before_the_budget(case):
     # starts drawn into a sigma -> 0 exact fit reach a numerical fixed point
@@ -556,14 +645,20 @@ def test_no_root_error_says_why(sample):
 
 
 def test_simulation_iteration_budget(monkeypatch):
-    # the slowest row of each search of a small fixed grid: its p90 is 40
-    # batch iterations with the plain reweighting step and 22 with the
-    # Anderson(1) extrapolation; the bound sits halfway
+    # the batch iterations of each search of a small fixed grid, one fit
+    # per iteration: their p90 is 40 with the plain reweighting step and
+    # 22 with the Anderson(1) extrapolation (19 once a start stops at a
+    # root another start has fixed); the bound sits halfway
     counts = []
 
-    def counting(*args):
-        rows = _solve_batch(*args)
-        counts.append(max(r.iterations for r in rows if r is not None))
+    def counting(family, *args):
+        fit, calls = family.fit_rows, []
+        family.fit_rows = lambda x, w: calls.append(1) or fit(x, w)
+        try:
+            rows = _solve_batch(family, *args)
+        finally:
+            del family.fit_rows
+        counts.append(len(calls))
         return rows
 
     monkeypatch.setattr(solver, "_solve_batch", counting)
