@@ -52,8 +52,8 @@ class SimulationPlan:
     # at n = 30 the weighted equation often has spurious tight-variance
     # roots seeded by near-degenerate size-3 subsamples; subsamples of 5
     # starve those attractors, and the eligibility floor keeps any that
-    # remain from ever winning selection. On tables 7-9 (R = 1000, seed 4,
-    # 2000 searches per eps over both kernels) the floor changes the
+    # remain from winning over an eligible root. On tables 7-9 (R = 1000,
+    # seed 4, 2000 searches per eps over both kernels) the floor changes the
     # selected root in 74-115 searches per eps under scale contamination,
     # 49-778 under location (26% and 39% at eps 0.4 and 0.5) and 0-6 under
     # exponential, moving theta[0] by up to 1.9, 3.4 and 14.3 respectively

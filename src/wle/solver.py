@@ -35,8 +35,8 @@ class SolverConfig:
     max_iter: int = 500            # per start
     bootstrap_b: int = 50          # number of bootstrap restarts
     bootstrap_m: int = 3           # bootstrap subsample size
-    eligibility_share: float = 0.0 # roots below this share of n are kept in
-                                   # the report but never win selection
+    eligibility_share: float = 0.0 # roots below this share of n win
+                                   # selection only if no root reaches it
     seed: int = 0
 
     def __post_init__(self):
@@ -130,17 +130,15 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
     Each row steps theta <- weighted_fit(data, w(theta)), extrapolated by
     Anderson(1) while its step shrinks. A row has converged once its
     relative plain step is below `tol` and its weighted score is solved,
-    ||sum_i w_i u_theta(X_i)||_inf < SCORE_RESIDUAL_TOL * n (ill-scaled
-    parameters need extra iterations after the step is small);
-    it has stalled at a numerical fixed point when its relative step is at
-    most STALL_STEP without a solved score. A converged row takes one more
-    step while other rows iterate: if its next point converges too, its
-    Root is a fixed point to `tol` and takes in every row whose current
-    point comes within ROOT_TOL of it, by the clustering rule; such a row
-    stops as that same Root object. Returns a list of Root-or-None aligned
-    with theta0s: non-convergence is flagged, a non-finite start or a
-    degenerate or non-finite weighted fit gives None. It runs in one
-    `np.errstate(all="ignore")` scope and calls bodies that enter none.
+    ||sum_i w_i u_theta(X_i)||_inf < SCORE_RESIDUAL_TOL * n, and has
+    stalled when its relative step is at most STALL_STEP unsolved. Every
+    row leaves at one exit, decided after the certificate, and the rows
+    that leave are dropped with one `take` per iteration. Returns one
+    Root-or-None per start, aligned with theta0s: None where the start, or
+    a fit before the row converged, is non-finite; the Root that another
+    row fixed, for a row that came within ROOT_TOL of it; else a Root of
+    the row's own. It runs in one `np.errstate(all="ignore")` scope and
+    calls bodies that enter none.
     """
     thetas = np.array(theta0s, dtype=float, ndmin=2)
     nstart, n = len(thetas), len(data)
@@ -185,12 +183,9 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
         held = np.zeros(active.size, dtype=bool)  # whether it converged there
         for it in range(1, max_iter + 1):
             g = family.fit_rows(data, w)
-            ok = np.logical_and.reduce(np.isfinite(g), axis=1)
-            if not np.logical_and.reduce(ok):
-                keep = ok.nonzero()[0]
-                active, x, g, pf, pg, pdelta, held = (
-                    a.take(keep, 0)
-                    for a in (active, x, g, pf, pg, pdelta, held))
+            # the rows that stop here: a held row, and a degenerate one (a
+            # non-finite g), which rides on as NaN and comes near nothing
+            gone = held | ~np.logical_and.reduce(np.isfinite(g), axis=1)
             f = g - x
             scale = 1.0 + np.maximum.reduce(np.abs(x), axis=1)
             delta = np.maximum.reduce(np.abs(f), axis=1) / scale
@@ -214,7 +209,6 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
                 r = by_blocks(score_residuals, (), x[check], w[check])
                 conv = near[check] & (r < SCORE_RESIDUAL_TOL * n)
                 fixed += (roots[i] for i in active[check[held[check] & conv]])
-            gone = held                 # the rows that stop here
             # a row whose point is near a fixed Root stops as that Root
             if fixed:
                 if len(at) < len(fixed):
@@ -222,10 +216,10 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
                 close = _near_roots(x, at)
                 hit = np.logical_or.reduce(close, axis=1)
                 if np.logical_or.reduce(hit):
-                    hit &= ~held
+                    hit &= ~gone
                     for i, j in zip(active[hit], close[hit].argmax(axis=1)):
                         roots[i] = fixed[j]
-                    gone = gone | hit
+                    gone |= hit
             # any other converged row is held for one more step, unless
             # this is the last; a stalled row and, on the last iteration,
             # every row stop, out of iterations unless converged
@@ -241,19 +235,16 @@ def _solve_batch(family, data, residual_config, weight_spec, solver_config,
                                     iterations=it, converged=bool(c),
                                     score_residual=float(ri))
                 hold = new & conv & (not last)
-                gone = gone.copy()
                 gone[check[new & ~hold]] = True
                 held = np.zeros(active.size, dtype=bool)
                 held[check[hold]] = True
-            if gone is not held:        # a row may have stopped
-                # held rows wait only while other rows may come near them
-                if not np.logical_or.reduce(~(gone | held)):
-                    break
+            if np.logical_or.reduce(gone):  # the one exit of every row
                 keep = (~gone).nonzero()[0]
                 active, x, w, pf, pg, pdelta, held = (
                     a.take(keep, 0)
                     for a in (active, x, w, pf, pg, pdelta, held))
-            if not active.size:
+            # held rows wait only while other rows may come near them
+            if np.logical_and.reduce(held):
                 break
     return roots
 
@@ -416,10 +407,10 @@ def _subsample_starts(family, data, solver_config):
 def _choose_index(roots, n, solver_config):
     """Selection rule on a weight-ordered root list.
 
-    Roots carrying less than eligibility_share * n total weight never win.
-    Among the eligible roots, the second-highest weight sum wins when it
-    holds at least MIN_WEIGHT_SHARE of their combined weight; otherwise
-    the highest does.
+    A root is eligible when it carries at least eligibility_share * n total
+    weight. Among the eligible roots, the second-highest weight sum wins
+    when it holds at least MIN_WEIGHT_SHARE of their combined weight;
+    otherwise the highest does. With no eligible root the heaviest wins.
     """
     eligible = [i for i, r in enumerate(roots)
                 if r.weight_sum >= solver_config.eligibility_share * n]

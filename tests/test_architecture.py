@@ -332,3 +332,16 @@ def test_residuals_takes_the_sample_as_it_is():
             names = {n.id for part in (node.func.value, *node.args)
                      for n in ast.walk(part) if isinstance(n, ast.Name)}
             assert not names & {"x", "xy", "data"}, node.lineno
+
+
+def test_every_row_of_the_batch_leaves_at_one_exit():
+    # the loop builds each row's own Root at one call site and drops the
+    # rows that leave, whatever their exit, with one take of its state
+    batch = next(node for node in ast.walk(_tree("solver.py"))
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_solve_batch")
+    calls = [n.func for n in ast.walk(batch) if isinstance(n, ast.Call)]
+    roots = [f for f in calls if isinstance(f, ast.Name) and f.id == "Root"]
+    takes = [f for f in calls
+             if isinstance(f, ast.Attribute) and f.attr == "take"]
+    assert len(roots) == 1 and len(takes) == 1

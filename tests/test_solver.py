@@ -1,6 +1,7 @@
 """Root search: convergence, determinism, equivariance, selection rule."""
 
 import copy
+import dataclasses
 import gc
 import tracemalloc
 import warnings
@@ -597,23 +598,59 @@ def _seed312_sample():
     return x, SolverConfig(seed=int(ss.generate_state(1, dtype=np.uint32)[0]))
 
 
+def _seed19_sample():
+    """perfbench mc_grid seed 19, pass 112: exponential scheme, eps 0.2,
+    replication 1, with its search's solver config (solver seed
+    4067629157)."""
+    plan = SimulationPlan(scheme="exponential", seed=int(
+        np.random.SeedSequence((19, 112, 2)).generate_state(1)[0]))
+    ss = np.random.SeedSequence(plan.seed, spawn_key=(2, 1))
+    x = _draw_sample(np.random.Generator(np.random.Philox(ss)),
+                     "exponential", plan.eps_grid[2], plan.n)
+    seed = int(ss.generate_state(1, dtype=np.uint32)[0])
+    return x, dataclasses.replace(plan.solver_config, seed=seed)
+
+
 def test_no_fixed_point_sample_certifies_no_root():
-    # at gamma 1.02 the root would sit where a sample point crosses the
-    # model median and its residual jumps, so the reweighting map has no
-    # fixed point: every start hovers until the budget, and the
-    # extrapolated steps certify no false root at the jump
-    x, cfg = _seed312_sample()
-    fam, rc = get_family("normal"), ResidualConfig()
-    with pytest.raises(DegenerateFitError, match="no converged roots"):
-        bootstrap_root_search(fam, x, rc, GammaKernel(1.02), cfg)
-    starts, _ = _subsample_starts(fam, x, cfg)
-    rows = _solve_batch(fam, x, rc, GammaKernel(1.02), cfg,
-                        np.asarray([fam.mle(x)] + starts))
-    assert all(r is not None and not r.converged
-               and r.iterations <= cfg.max_iter for r in rows)
-    rs = bootstrap_root_search(fam, x, rc, GammaKernel(1.01), cfg)
-    np.testing.assert_allclose(rs.selected.theta, [0.119124, 0.694501],
-                               atol=1e-6)
+    # at gamma 1.02 the reweighting map has no fixed point that certifies,
+    # and every start leaves at the last iteration, uncertified. Seed 312:
+    # the root would sit where a sample point crosses the model median and
+    # its residual jumps; every start hovers until the budget, and the
+    # extrapolated steps certify no false root at the jump. Seed 19: the
+    # map cycles near theta = 1.3049 with its score solved, its relative
+    # step shrinking to ~1e-7 and jumping back, never below tol; it
+    # cycles, so it does not stall
+    for name, (x, cfg), theta, solved in (
+            ("normal", _seed312_sample(), [0.119124, 0.694501], False),
+            ("exponential", _seed19_sample(), [0.665029], True)):
+        fam, rc = get_family(name), ResidualConfig()
+        with pytest.raises(DegenerateFitError, match="no converged roots"):
+            bootstrap_root_search(fam, x, rc, GammaKernel(1.02), cfg)
+        starts, _ = _subsample_starts(fam, x, cfg)
+        rows = _solve_batch(fam, x, rc, GammaKernel(1.02), cfg,
+                            np.asarray([fam.mle(x)] + starts))
+        assert len(rows) == 51 and all(
+            r is not None and not r.converged
+            and r.iterations == cfg.max_iter for r in rows)
+        assert all((r.score_residual < SCORE_RESIDUAL_TOL * len(x)) == solved
+                   for r in rows)
+        rs = bootstrap_root_search(fam, x, rc, GammaKernel(1.01), cfg)
+        np.testing.assert_allclose(rs.selected.theta, theta, atol=1e-6)
+
+
+def test_a_batch_with_no_finite_start_fits_at_most_once():
+    # no row ever iterates, so the loop must not run its budget of empty
+    # iterations
+    fam = get_family("normal")
+    data = fam.check_data(load_dataset("newcomb").column("deviation"))
+    fit, calls = fam.fit_rows, []
+    fam.fit_rows = lambda x, w: calls.append(1) or fit(x, w)
+    try:
+        rows = _solve_batch(fam, data, ResidualConfig(), GammaKernel(1.01),
+                            SolverConfig(), [[np.nan, 1.0], [np.inf, 1.0]])
+    finally:
+        del fam.fit_rows
+    assert rows == [None, None] and len(calls) <= 1
 
 
 def _no_root_samples():
