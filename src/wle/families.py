@@ -33,6 +33,7 @@ class DegenerateFitError(ValueError):
 
 _WEIGHT_SUM_FLOOR = 1e-12
 TAIL_MASS = 1e-13  # integration_range leaves less than this in each tail
+_DOT_BLOCK = 8192  # OpenBLAS threads a dot product above 10,000 elements
 
 
 class Family:
@@ -136,38 +137,26 @@ class Family:
     def weighted_fit(self, x, w):
         """Solve sum_i w_i * u_theta(x_i) = 0 for frozen weights.
 
-        The batch of one; data that fail `check_data` and a degenerate or
-        non-finite fit raise."""
+        The batch of one, silently; data that fail `check_data` and a
+        degenerate or non-finite fit raise."""
         x = self.check_data(x)
-        theta = self.weighted_fit_batch(x, np.asarray(w, dtype=float)[None, :])
+        with np.errstate(all="ignore"):
+            theta = self.fit_rows(x, np.asarray(w, dtype=float)[None, :])
         if not np.all(np.isfinite(theta)):
             raise DegenerateFitError("weighted fit is degenerate (weight "
                                      "mass, spread or design collapsed)")
         return theta[0]
 
-    # Batched pieces of the fixed-point iteration: row b of `thetas` or of
-    # the weights `w` belongs to the b-th start, and x is the whole sample.
-    # Each is silent, running its `_rows` body in np.errstate; the solver's
-    # loop calls the bodies inside its one scope.
-
-    def weighted_fit_batch(self, x, w):
-        """weighted_fit for each row of a (B, n) weight batch, (B, dim).
-
-        A row whose fit is degenerate comes back as NaN, one that
-        overflows as NaN or inf."""
-        with np.errstate(all="ignore"):
-            return self.fit_rows(x, w)
-
-    def fit_rows(self, x, w):  # weighted_fit_batch, in the caller's scope
+    def fit_rows(self, x, w):
+        """`weighted_fit` for each row of a (B, n) weight batch, (B, dim),
+        under the caller's float-error scope; row b is a computation of
+        row b alone. A row whose fit is degenerate comes back as NaN, one
+        that overflows as NaN or inf."""
         raise NotImplementedError
 
-    def weighted_score_batch(self, thetas, x, w):
-        """sum_i w_bi u_theta_b(x_i) for each row b, shape (B, dim)."""
-        with np.errstate(all="ignore"):
-            return self.score_rows(thetas, x, w)
-
     def score_rows(self, thetas, x, w):
-        """`weighted_score_batch` under the caller's float-error scope.
+        """sum_i w_bi u_theta_b(x_i) for each row b, shape (B, dim), under
+        the caller's float-error scope.
 
         A point of weight zero stays out of the sum even when its score
         overflows (0 * inf = NaN); only rows that come back non-finite pay
@@ -202,6 +191,15 @@ def _weight_sums(w):
     """Row sums of a weight batch, NaN where the total weight collapsed."""
     sw = np.add.reduce(w, axis=1)
     return np.where(sw < _WEIGHT_SUM_FLOOR, np.nan, sw)
+
+
+def _row_dot(w, x):
+    """sum_i w_bi x_i per row of a (B, n) batch, over column blocks of at
+    most _DOT_BLOCK summed in order: a row's bits depend on it alone."""
+    out = np.vecdot(w[:, :_DOT_BLOCK], x[:_DOT_BLOCK])
+    for i in range(_DOT_BLOCK, len(x), _DOT_BLOCK):
+        out += np.vecdot(w[:, i:i + _DOT_BLOCK], x[i:i + _DOT_BLOCK])
+    return out
 
 
 class Poisson(Family):
@@ -239,7 +237,7 @@ class Poisson(Family):
         return 0.0, float(int(lam + 12 * np.sqrt(lam) + 30))
 
     def fit_rows(self, x, w):
-        lam = w @ x / _weight_sums(w)
+        lam = _row_dot(w, x) / _weight_sums(w)
         return np.where(lam > 0, lam, np.nan)[:, None]
 
 
@@ -279,7 +277,7 @@ class Normal(NormalErrors):
 
     def fit_rows(self, x, w):
         sw, out = _weight_sums(w), np.empty((len(w), 2))
-        mu = np.divide(w @ x, sw, out=out[:, 0])
+        mu = np.divide(_row_dot(w, x), sw, out=out[:, 0])
         t = w * (x[None, :] - mu[:, None]) ** 2
         s2 = np.add.reduce(t, axis=1) / sw
         # a point of weight zero stays out of the variance even when its
@@ -329,7 +327,7 @@ class Exponential(Family):
         return float(np.log(2.0) / theta[0])
 
     def fit_rows(self, x, w):
-        m = w @ x / _weight_sums(w)  # a zero mean is a NaN row
+        m = _row_dot(w, x) / _weight_sums(w)  # a zero mean is a NaN row
         return np.where(m > 0, 1.0 / m, np.nan)[:, None]
 
 
@@ -368,7 +366,7 @@ class NormalLocation(NormalErrors):
         return float(theta[0])
 
     def fit_rows(self, x, w):
-        return (w @ x / _weight_sums(w))[:, None]
+        return (_row_dot(w, x) / _weight_sums(w))[:, None]
 
 
 class BivariateNormal(Family):
@@ -433,8 +431,8 @@ class BivariateNormal(Family):
     def fit_rows(self, xy, w):
         sw, out = _weight_sums(w), np.empty((len(w), 5))
         mu1, mu2, s1, s2, rho = out.T
-        np.divide(w @ xy[:, 0], sw, out=mu1)
-        np.divide(w @ xy[:, 1], sw, out=mu2)
+        np.divide(_row_dot(w, xy[:, 0]), sw, out=mu1)
+        np.divide(_row_dot(w, xy[:, 1]), sw, out=mu2)
         d1 = xy[:, 0] - mu1[:, None]
         d2 = xy[:, 1] - mu2[:, None]
         # a row whose moments overflow comes back non-finite and is dropped
@@ -490,7 +488,7 @@ class NormalRegression(NormalErrors):
         # equations have determinant sw * sxx and solve in closed form
         x, y = xy[:, 0], xy[:, 1]
         sw = _weight_sums(w)
-        mx, my = w @ x / sw, w @ y / sw
+        mx, my = _row_dot(w, x) / sw, _row_dot(w, y) / sw
         dx = x - mx[:, None]
         wdx = w * dx
         # a huge covariate overflows sxx to inf: such a row is singular too

@@ -99,11 +99,17 @@ class EmpiricalFunctions:
 
     def cdf(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.searchsorted(self._sorted, x, side="right") / self.n
+        return np.searchsorted(self._ordered(), x, side="right") / self.n
 
     def survival(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return (self.n - np.searchsorted(self._sorted, x, side="left")) / self.n
+        return (self.n - np.searchsorted(self._ordered(), x)) / self.n
+
+    def _ordered(self):
+        if self.sample.ndim == 2:
+            raise ValueError(f"a sample of shape {self.sample.shape} has no "
+                             "cdf or survival; use quadrants")
+        return self._sorted
 
     def quadrants(self, xy):
         """Empirical quadrant masses (ll, lg, gl, gg) at (k, 2) points, (k, 4).

@@ -389,19 +389,23 @@ def _subsample_indices(seed, b, n, m):
 
 
 def _subsample_starts(family, data, solver_config):
-    """MLE starting values from seeded with-replacement subsamples.
+    """The full-sample MLE, then MLEs of seeded with-replacement subsamples.
 
-    The subsample multiplicities form one (B, n) weight batch with a single
-    weighted fit; a degenerate or non-finite fit skips its subsample.
+    All weights one and the subsample multiplicities form one (1 + B, n)
+    weight batch with a single weighted fit. The MLE is always a start; a
+    degenerate or non-finite subsample fit skips its subsample.
     """
     n, b = len(data), solver_config.bootstrap_b
     m = solver_config.subsample_size(family, n)
     idx = _subsample_indices(solver_config.seed, b, n, m)
-    counts = np.zeros((b, n))
-    np.add.at(counts, (np.arange(b)[:, None], idx), 1.0)
-    fits = family.weighted_fit_batch(data, counts)
-    ok = np.all(np.isfinite(fits), axis=1)
-    return list(fits[ok]), b - int(np.count_nonzero(ok))
+    counts = np.zeros((1 + b, n))
+    counts[0] = 1.0
+    np.add.at(counts[1:], (np.arange(b)[:, None], idx), 1.0)
+    with np.errstate(all="ignore"):
+        fits = family.fit_rows(data, counts)
+    ok = np.logical_and.reduce(np.isfinite(fits), axis=1)
+    ok[0] = True
+    return fits[ok], 1 + b - int(np.count_nonzero(ok))
 
 
 def _choose_index(roots, n, solver_config):
@@ -456,10 +460,8 @@ def bootstrap_root_search(family, data, residual_config, weight_spec,
     residual kind other than the family's raises ValueError.
     """
     data = _checked_data(family, data, residual_config)
-    n = len(data)
     starts, skipped = _subsample_starts(family, data, solver_config)
-    starts.insert(0, family.weighted_fit_batch(data, np.ones((1, n)))[0])
     roots = _solve_batch(family, data, residual_config, weight_spec,
-                         solver_config, np.asarray(starts))
-    return build_root_set(roots, n, solver_config,
+                         solver_config, starts)
+    return build_root_set(roots, len(data), solver_config,
                           n_skipped_subsamples=skipped)

@@ -48,13 +48,13 @@ class WeightFunction:
         return np.minimum(out, 1.0, out=out)
 
     def weight_derivative(self, tau):
-        """H'(tau) for tau > -1 (analytic log-derivative times H)."""
+        """H'(tau) (analytic log-derivative times H), silently; 0 where H
+        is, including a weight that underflows to 0."""
         tau, scalar = _prep(tau)
-        out = np.zeros_like(tau)
-        ok = (tau > -1.0) & np.isfinite(tau)
-        if np.any(ok):
-            out[ok] = self._dlog_weight(tau[ok]) * np.exp(self._log_weight(tau[ok]))
-        return _finish(out, scalar)
+        with np.errstate(all="ignore"):
+            h = self.weight_rows(tau)
+            return _finish(np.where(h > 0, self._dlog_weight(tau) * h, 0.0),
+                           scalar)
 
 
 @dataclass(frozen=True)

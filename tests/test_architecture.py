@@ -345,3 +345,14 @@ def test_every_row_of_the_batch_leaves_at_one_exit():
     takes = [f for f in calls
              if isinstance(f, ast.Attribute) and f.attr == "take"]
     assert len(roots) == 1 and len(takes) == 1
+
+
+def test_no_fit_rows_takes_a_matrix_product():
+    # a BLAS matrix product over the weight batch gives each row bits that
+    # depend on the other rows; every fit sums over the sample per row
+    fits = _methods("families.py", "fit_rows")
+    assert len(fits) == 1 + 6  # the base class and the six families
+    for cls, fn in fits.items():
+        assert not any(isinstance(n, ast.MatMult) for n in ast.walk(fn)), cls
+        assert not any(isinstance(n, ast.Attribute) and n.attr in (
+            "dot", "matmul", "inner", "einsum") for n in ast.walk(fn)), cls

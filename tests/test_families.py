@@ -1,6 +1,10 @@
 """Closed-form family quantities against scipy/numpy oracles."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +283,12 @@ def test_bvn_quadrants_share_two_owens_t_calls():
         bvn_cdf(h, k, np.full((40, 1), 1.0))
 
 
+def _fit_rows(fam, x, w):
+    """`fit_rows` under the silent float-error scope the solver gives it."""
+    with np.errstate(all="ignore"):
+        return fam.fit_rows(x, w)
+
+
 def test_regression_batch_solve_matches_linalg():
     rng = np.random.default_rng(3)
     x = rng.uniform(-4.0, 12.0, 25)
@@ -286,7 +296,7 @@ def test_regression_batch_solve_matches_linalg():
     w = rng.uniform(0.0, 1.0, (6, 25))
     w[0, 5:] = 0.0                 # five points carry the whole weight
     fam = get_family("normal_regression")
-    fits = fam.weighted_fit_batch(xy, w)
+    fits = _fit_rows(fam, xy, w)
     X = np.column_stack([np.ones(25), x])
     for wb, fit in zip(w, fits):
         beta = np.linalg.solve((X.T * wb) @ X, (X.T * wb) @ xy[:, 1])
@@ -303,7 +313,7 @@ def test_regression_batch_flags_degenerate_rows():
                   [1e-14, 1e-14, 0.0, 0.0],  # total weight collapsed
                   [0.0, 1.0, 0.0, 0.0],      # one point: singular design
                   [1.0, 0.0, 0.0, 1.0]])     # two points: exact fit
-    fits = fam.weighted_fit_batch(xy, w)
+    fits = _fit_rows(fam, xy, w)
     assert np.all(np.isfinite(fits[0]))
     assert np.all(np.isnan(fits[1:]).any(axis=1))
     for wb in w[1:]:
@@ -313,7 +323,7 @@ def test_regression_batch_flags_degenerate_rows():
     xy[0, 0] = 1e300
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isnan(fam.weighted_fit_batch(xy, w[:1])).any()
+        assert np.isnan(_fit_rows(fam, xy, w[:1])).any()
 
 
 def test_bivariate_fit_with_weight_on_one_point_is_degenerate():
@@ -327,16 +337,16 @@ def test_bivariate_fit_with_weight_on_one_point_is_degenerate():
     with warnings.catch_warnings(), pytest.raises(DegenerateFitError):
         warnings.simplefilter("error")
         fam.weighted_fit(xy, w)
-    fits = fam.weighted_fit_batch(xy, np.vstack([w, np.ones(12)]))
+    fits = _fit_rows(fam, xy, np.vstack([w, np.ones(12)]))
     assert np.isnan(fits[0]).any()
-    np.testing.assert_allclose(fits[1], fam.mle(xy), rtol=1e-12)
+    np.testing.assert_array_equal(fits[1], fam.mle(xy))  # the row contract
 
 
 def test_bivariate_batch_fit_matches_weighted_covariance():
     rng = np.random.default_rng(5)
     xy = rng.normal(size=(30, 2)) @ np.array([[1.0, 0.6], [0.0, 0.5]])
     w = rng.uniform(0.1, 1.0, (4, 30))
-    fits = get_family("bivariate_normal").weighted_fit_batch(xy, w)
+    fits = _fit_rows(get_family("bivariate_normal"), xy, w)
     for wb, fit in zip(w, fits):
         cov = np.cov(xy.T, aweights=wb, bias=True)
         np.testing.assert_allclose(fit[:2], wb @ xy / wb.sum(), rtol=1e-12)
@@ -369,7 +379,8 @@ def test_weighted_score_batch_matches_score(name):
     draw, thetas = _SCORE_CASES[name]
     x, thetas = draw(rng), np.array(thetas)
     w = rng.uniform(0.0, 1.0, (len(thetas), len(x)))
-    got = fam.weighted_score_batch(thetas, x, w)
+    with np.errstate(all="ignore"):
+        got = fam.score_rows(thetas, x, w)
     for b, theta in enumerate(thetas):
         ref = w[b] @ fam.score(theta, x)
         np.testing.assert_allclose(got[b], ref, rtol=1e-10,
@@ -394,6 +405,73 @@ def test_batch_rows_match_single_parameter_calls(name):
             assert single.shape == (len(x),)
             np.testing.assert_array_equal(rows[b], single)
         np.testing.assert_array_equal(scores[b], fam.score(theta, x))
+
+
+def _regression_pairs(rng, n):
+    x = rng.uniform(-4.0, 12.0, n)
+    return np.column_stack([x, 1.5 - 0.4 * x + rng.normal(0.0, 0.8, n)])
+
+
+_ROW_DRAWS = {
+    "poisson": lambda r, n: r.poisson(2.0, n).astype(float),
+    "normal": lambda r, n: r.normal(1.0, 2.0, n),
+    "exponential": lambda r, n: r.exponential(2.0, n),
+    "normal_location": lambda r, n: r.normal(size=n),
+    "bivariate_normal": lambda r, n: (r.normal(size=(n, 2))
+                                      @ np.array([[1.0, 0.6], [0.0, 0.5]])),
+    "normal_regression": _regression_pairs,
+}
+
+
+@pytest.mark.parametrize("n", [30, 20_000])
+@pytest.mark.parametrize("name", sorted(_ROW_DRAWS))
+def test_a_row_has_the_same_bits_alone_as_in_a_batch(name, n):
+    # each row of a weighted fit and of a weighted score is a computation
+    # of that row alone: the 51 rows of a search's batch give the bits
+    # that each row, copied, gives in a batch of one
+    fam, rng = get_family(name), np.random.default_rng(7)
+    x = fam.check_data(_ROW_DRAWS[name](rng, n))
+    w = rng.uniform(0.0, 1.0, (51, n))
+    w[1:4, 3:] = 0.0  # three points carry the whole weight
+    with np.errstate(all="ignore"):
+        fits = fam.fit_rows(x, w)
+        scores = fam.score_rows(fits, x, w)
+        assert np.all(np.isfinite(fits)) and np.all(np.isfinite(scores))
+        for b in range(len(w)):
+            one = np.array(w[b:b + 1])
+            assert fam.fit_rows(x, one).tobytes() == fits[b].tobytes()
+            assert (fam.score_rows(np.array(fits[b:b + 1]), x, one).tobytes()
+                    == scores[b].tobytes())
+
+
+_THREADS_RUN = """
+import hashlib
+import numpy as np
+from wle.families import get_family
+
+rng = np.random.default_rng(9)
+w = rng.uniform(0.0, 1.0, (51, 20_000))
+xy = rng.normal(size=(20_000, 2))
+with np.errstate(all="ignore"):
+    fits = (get_family("normal").fit_rows(np.array(xy[:, 1]), w),
+            get_family("normal_regression").fit_rows(xy, w))
+print(hashlib.sha256(b"".join(f.tobytes() for f in fits)).hexdigest())
+"""
+
+
+def test_fit_bits_do_not_depend_on_the_blas_threads():
+    # OpenBLAS splits a dot product of more than 10,000 terms over its
+    # threads, which regroups the sum; the fits sum in shorter blocks
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def digest(threads):
+        env = {**os.environ, "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": str(threads)}
+        return subprocess.run([sys.executable, "-c", _THREADS_RUN],
+                              check=True, capture_output=True, text=True,
+                              env=env).stdout
+
+    assert digest(1) == digest(2)
 
 
 _RANGE_CASES = {

@@ -173,6 +173,14 @@ def test_only_n_by_2_data_are_bivariate(shape):
             EmpiricalFunctions(data)
 
 
+def test_bivariate_sample_has_no_cdf_or_survival():
+    # (n, 2) data have quadrant masses, not one-dimensional F_n and S_n
+    emp = EmpiricalFunctions(np.arange(6.0).reshape(3, 2))
+    for fn in (emp.cdf, emp.survival):
+        with pytest.raises(ValueError, match=r"\(3, 2\).*use quadrants"):
+            fn([1.0])
+
+
 def test_quadrant_points_must_be_pairs():
     emp = EmpiricalFunctions(np.arange(6.0).reshape(3, 2))
     assert emp.quadrants(np.array([[0.0, 1.0]])).shape == (1, 4)

@@ -363,11 +363,9 @@ def _single_start(*args):
 
 
 def _same_path(one, row):
-    """`one` iterated as `row`: the same iterations, theta and weights."""
-    return (one is not None and one.converged
-            and one.iterations == row.iterations
-            and np.allclose(one.theta, row.theta, rtol=1e-10, atol=0.0)
-            and np.allclose(one.weights, row.weights, rtol=1e-10, atol=1e-13))
+    """`one` iterated as `row`, bit for bit: the same iterations, theta,
+    weights and score residual."""
+    return one is not None and _row_bits([one]) == _row_bits([row])
 
 
 def _by_root(batch, other):
@@ -391,8 +389,8 @@ def _is_fixed(fam, data, rc, spec, cfg, root):
 
 @pytest.mark.parametrize("case", sorted(_SEARCHES))
 def test_search_matches_single_start_path(case):
-    # the start that certifies a root iterates exactly as solve_from from
-    # that start (the batch of one), and solve_from from every root
+    # the start that certifies a root iterates as solve_from from that
+    # start (the batch of one), bit for bit, and solve_from from every root
     # certifies it again. A start that stopped on coming near a root
     # shares that Root, which is a fixed point to tol; from its own start,
     # solve_from converges to a root that clusters with it. Starts drawn
@@ -402,8 +400,8 @@ def test_search_matches_single_start_path(case):
     fam, rc, cfg = get_family(name), ResidualConfig(kind=kind), \
         SolverConfig(seed=0)
     starts, _ = _subsample_starts(fam, data, cfg)
-    starts.insert(0, fam.mle(data))
-    batch = _solve_batch(fam, data, rc, spec, cfg, np.asarray(starts))
+    assert starts[0].tobytes() == fam.mle(data).tobytes()
+    batch = _solve_batch(fam, data, rc, spec, cfg, starts)
     ones = [_single_start(fam, data, rc, spec, cfg, th0) for th0 in starts]
     for one, row in zip(ones, batch):
         if row is None or not row.converged:
@@ -447,7 +445,6 @@ def test_row_blocks_give_the_whole_batch_bit_for_bit(case, rows,
     fam, rc, cfg = get_family(name), ResidualConfig(kind=kind), \
         SolverConfig(seed=0)
     starts, _ = _subsample_starts(fam, data, cfg)
-    starts = np.asarray([fam.mle(data)] + starts)
 
     def run():
         return (_row_bits(_solve_batch(fam, data, rc, spec, cfg, starts)),
@@ -469,8 +466,8 @@ def test_row_blocks_give_the_whole_batch_bit_for_bit(case, rows,
 def test_large_sample_search_memory():
     # traced allocations of one n = 10 000 normal search: 21.9 MB at the
     # peak when every residual and weight temporary spans all 51 starts,
-    # 12.8 MB in row blocks, where the (50, n) subsample counts of the
-    # starts remain the largest arrays. With the cycle collector off,
+    # 12.8 MB in row blocks, where the (1 + 50, n) weights of the starts'
+    # fit remain the largest arrays. With the cycle collector off,
     # nothing outlives the search: a reference cycle through the solver's
     # closures would keep the sample's empirical functions, 0.5 MB here
     x = np.random.default_rng(0).normal(size=10_000)
@@ -517,9 +514,7 @@ def _newcomb_batch():
     fam, rc, spec, cfg = (get_family("normal"), ResidualConfig(),
                           GammaKernel(1.01), SolverConfig(seed=0))
     starts, _ = _subsample_starts(fam, x, cfg)
-    starts.insert(0, fam.mle(x))
-    return fam, x, rc, spec, cfg, _solve_batch(fam, x, rc, spec, cfg,
-                                               np.asarray(starts))
+    return fam, x, rc, spec, cfg, _solve_batch(fam, x, rc, spec, cfg, starts)
 
 
 def test_starts_that_reach_a_fixed_root_share_it():
@@ -535,7 +530,8 @@ def test_starts_that_reach_a_fixed_root_share_it():
         assert root.score_residual < SCORE_RESIDUAL_TOL * n
         w = spec.weight(tau_for_sample(rc, fam, root.theta, x))
         np.testing.assert_array_equal(w, root.weights)
-        u = fam.weighted_score_batch(root.theta[None], x, w[None])
+        with np.errstate(all="ignore"):
+            u = fam.score_rows(root.theta[None], x, w[None])
         assert np.max(np.abs(u)) < SCORE_RESIDUAL_TOL * n
     rs = build_root_set(batch, n, cfg)
     assert len(rs.roots) == 1 and rs.n_restarts == len(batch) == 51
@@ -567,7 +563,7 @@ def test_a_start_that_stalls_is_never_coalesced(case):
     fam, rc, cfg = get_family(name), ResidualConfig(kind=kind), \
         SolverConfig(seed=0)
     starts, _ = _subsample_starts(fam, data, cfg)
-    batch = _solve_batch(fam, data, rc, spec, cfg, np.asarray(starts))
+    batch = _solve_batch(fam, data, rc, spec, cfg, starts[1:])
     stuck = [r for r in batch if r is not None and not r.converged]
     assert stuck and len({id(r) for r in stuck}) == len(stuck)
 
@@ -581,8 +577,8 @@ def test_stuck_rows_stall_before_the_budget(case):
     fam, rc, cfg = get_family(name), ResidualConfig(kind=kind), \
         SolverConfig(seed=0)
     starts, _ = _subsample_starts(fam, data, cfg)
-    rows = [r for r in _solve_batch(fam, data, rc, spec, cfg,
-                                    np.asarray(starts)) if r is not None]
+    rows = [r for r in _solve_batch(fam, data, rc, spec, cfg, starts[1:])
+            if r is not None]
     stuck = [r for r in rows if not r.converged]
     assert stuck and any(r.converged for r in rows)
     assert all(r.iterations < cfg.max_iter for r in stuck)
@@ -627,8 +623,7 @@ def test_no_fixed_point_sample_certifies_no_root():
         with pytest.raises(DegenerateFitError, match="no converged roots"):
             bootstrap_root_search(fam, x, rc, GammaKernel(1.02), cfg)
         starts, _ = _subsample_starts(fam, x, cfg)
-        rows = _solve_batch(fam, x, rc, GammaKernel(1.02), cfg,
-                            np.asarray([fam.mle(x)] + starts))
+        rows = _solve_batch(fam, x, rc, GammaKernel(1.02), cfg, starts)
         assert len(rows) == 51 and all(
             r is not None and not r.converged
             and r.iterations == cfg.max_iter for r in rows)
@@ -768,14 +763,16 @@ def _one_at_a_time(fam, data, cfg):
 
 @pytest.mark.parametrize("name", sorted(_START_SAMPLES))
 def test_batched_starts_match_subsample_mles(name):
-    # the one batched fit gives every subsample's MLE. A regression
-    # subsample of two distinct points is an exact fit, sigma = 0 up to
-    # rounding: one path can skip it while the other keeps a sigma of
-    # rounding size, so such fits are set aside on both sides
+    # the one batched fit gives the full-sample MLE, bit for bit, and
+    # every subsample's MLE. A regression subsample of two distinct points
+    # is an exact fit, sigma = 0 up to rounding: one path can skip it while
+    # the other keeps a sigma of rounding size, so such fits are set aside
+    # on both sides
     fam, data = get_family(name), _START_SAMPLES[name]()
     for seed in range(4):
         cfg = SolverConfig(seed=seed)
-        starts, skipped = _subsample_starts(fam, data, cfg)
+        (mle, *starts), skipped = _subsample_starts(fam, data, cfg)
+        assert mle.tobytes() == fam.mle(data).tobytes()
         ref = _one_at_a_time(fam, data, cfg)
         kept = [r for r in ref if r is not None]
         scale = np.max(np.abs(kept), axis=0)
@@ -804,7 +801,7 @@ def test_start_indices_memo_serves_each_sample_its_own_fits():
         ref = np.array(_one_at_a_time(fam, x, cfg))
         assert skipped == 0 and ref.shape == (cfg.bootstrap_b, 2)
         # rtol 1e-12, with each parameter's scale as the floor
-        assert np.all(np.abs(np.array(starts) - ref)
+        assert np.all(np.abs(starts[1:] - ref)
                       <= 1e-12 * (np.abs(ref) + np.max(np.abs(ref), axis=0)))
     info = _subsample_indices.cache_info()
     assert (info.misses, info.hits) == (1, 1)

@@ -45,6 +45,22 @@ def test_edge_residuals_give_zero_without_warnings(spec):
     assert array.tobytes() == single.tobytes()
 
 
+@pytest.mark.parametrize("spec", [GammaKernel(1.01), WeibullKernel(1.5),
+                                  WeibullKernel(3.0), GevKernel(10.0),
+                                  ScaledFKernel(2.1, 1.0)], ids=str)
+def test_derivative_at_extreme_residuals_is_silent(spec):
+    # at tau = 1e300 the Weibull (1 + tau)^k overflows on the way to a
+    # weight of 0, like `weight` it stays silent, and the derivative of a
+    # weight that underflows to 0 is 0, not 0 * inf
+    tau = np.array([1e300, 1e10, -1.0 + 1e-9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = spec.weight_derivative(tau)
+        w = spec.weight(tau)
+        assert [spec.weight_derivative(t) for t in tau] == list(d)
+    assert np.all(np.isfinite(d)) and np.all(d[w == 0.0] == 0.0)
+
+
 def _weight_reference(spec, tau):
     """The kernel written with a fresh exp and a clip to [0, 1]."""
     tau = np.asarray(tau, dtype=float)
