@@ -4,8 +4,8 @@ Lubischew's flea-beetle data mixes 21 Chaetocnema concinna with 22
 Ch. heptapotamica. Fitting a single normal to the front-angle measurement
 is misspecified on purpose: the weighted likelihood equation then has
 three distinct roots, and each species-specific root cleanly separates
-the sample by its weights. The bivariate fit from three different starts
-shows the same structure in two dimensions.
+the sample by its weights. One bivariate root search on (width, angle)
+finds the combined root and both species roots among its distinct roots.
 
 Run:  python demos/beetle_roots.py
 """
@@ -13,7 +13,7 @@ Run:  python demos/beetle_roots.py
 import numpy as np
 
 from wle import (GammaKernel, ResidualConfig, SolverConfig,
-                 bootstrap_root_search, get_family, load_dataset, solve_from)
+                 bootstrap_root_search, get_family, load_dataset)
 
 ds = load_dataset("lubischew")
 angle = ds.column("angle")
@@ -35,14 +35,13 @@ for i, root in enumerate(rs.roots):
 
 # the same three-root structure for the bivariate (width, angle) fit
 xy = ds.numeric()
-bfam = get_family("bivariate_normal")
-rc = ResidualConfig(kind="bivariate")
-starts = [("combined MLE", bfam.mle(xy)),
-          ("concinna MLE", bfam.mle(xy[species == "concinna"])),
-          ("heptapotamica MLE", bfam.mle(xy[species == "heptapotamica"]))]
-print("\nbivariate fits from three documented starts:")
-for label, th0 in starts:
-    root = solve_from(bfam, xy, rc, GammaKernel(1.01), SolverConfig(), th0)
+brs = bootstrap_root_search(get_family("bivariate_normal"), xy,
+                            ResidualConfig(kind="bivariate"),
+                            GammaKernel(1.01), SolverConfig(seed=0))
+print(f"\nbivariate root search: {len(brs.roots)} distinct roots")
+for i, root in enumerate(brs.roots):
     m1, m2, s1, s2, rho = root.theta
-    print(f"  from {label:18s} mean = ({m1:8.3f}, {m2:8.3f})  "
-          f"var = ({s1:7.3f}, {s2:7.3f})  rho = {rho:6.3f}")
+    tag = " (selected)" if i == brs.selected_index else ""
+    print(f"  root {i}: mean = ({m1:8.3f}, {m2:8.3f})  "
+          f"var = ({s1:7.3f}, {s2:7.3f})  rho = {rho:6.3f}  "
+          f"weight sum = {root.weight_sum:5.1f}{tag}")

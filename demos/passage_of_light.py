@@ -8,15 +8,12 @@ the estimates a careful analyst would report, for every weight family.
 Run:  python demos/passage_of_light.py
 """
 
-import numpy as np
-
 from wle import (GammaKernel, GevKernel, ResidualConfig, SolverConfig,
-                 WeibullKernel, get_family, load_dataset, solve_from,
-                 tau_for_sample)
+                 WeibullKernel, bootstrap_root_search, get_family,
+                 load_dataset)
 
 x = load_dataset("newcomb").column("deviation")
 fam = get_family("normal")
-rc, sc = ResidualConfig(), SolverConfig()
 
 mle = fam.mle(x)
 print(f"n = {len(x)} measurements")
@@ -29,18 +26,17 @@ specs = [("gamma   alpha=1.01", GammaKernel(1.01)),
          ("gev     xi=5      ", GevKernel(5.0)),
          ("gev     xi=10     ", GevKernel(10.0))]
 
-print("\nweighted fits (started from the MLE):")
-for label, spec in specs:
-    root = solve_from(fam, x, rc, spec, sc, mle)
+print("\nselected roots of the bootstrap root search:")
+roots = [bootstrap_root_search(fam, x, ResidualConfig(), spec,
+                               SolverConfig(seed=0)).selected
+         for _, spec in specs]
+for (label, _), root in zip(specs, roots):
     print(f"  {label}  mu = {root.theta[0]:8.4f}   "
           f"sigma^2 = {root.theta[1]:9.4f}   "
           f"weight sum = {root.weight_sum:5.1f} / {len(x)}")
 
 # show which observations the gamma(1.01) fit discounts
-spec = GammaKernel(1.01)
-root = solve_from(fam, x, rc, spec, sc, mle)
-w = spec.weight(tau_for_sample(rc, fam, root.theta, x))
 print("\nobservations with weight < 0.5:")
-for xi, wi in sorted(zip(x, w)):
+for xi, wi in sorted(zip(x, roots[0].weights)):
     if wi < 0.5:
         print(f"  x = {xi:6.1f}   weight = {wi:.4f}")

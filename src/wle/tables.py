@@ -26,7 +26,7 @@ from .datasets import load_dataset
 from .families import get_family
 from .residuals import ResidualConfig
 from .simulate import SimulationPlan, run_simulation
-from .solver import SolverConfig, bootstrap_root_search, solve_from
+from .solver import SolverConfig, bootstrap_root_search
 from .weights import GammaKernel, GevKernel, ScaledFKernel, WeibullKernel
 
 REPORT_VERSION = 1
@@ -128,11 +128,21 @@ def _cells_vector(row, names, computed, reference, tols, kind="abs", note=""):
             for nm, c, r, t in zip(names, computed, reference, tols)]
 
 
+def _search(fam, data, spec):
+    """The seed-0 bootstrap root search that every real-data table reads."""
+    return bootstrap_root_search(fam, data, ResidualConfig(kind=fam.kind),
+                                 spec, SolverConfig(seed=0))
+
+
+def _nearest(roots, j, ref):
+    """The root whose theta[j] lies nearest `ref`."""
+    return min(roots, key=lambda r: abs(r.theta[j] - ref))
+
+
 def _table2():
     """Poisson fits to the fruit-fly daughter counts."""
     x = load_dataset("drosophila").column("daughters")
     fam = get_family("poisson")
-    rc, sc = ResidualConfig(), SolverConfig()
     mle = fam.mle(x)
     mle_d = fam.mle(x[x < x.max()])
     cells = _cells_vector("mle", ["theta"], mle, [3.0588], 5e-5)
@@ -140,9 +150,8 @@ def _table2():
                            [0.3939], 5e-5)
     for label, spec in (("wle_gamma_alpha1.01", GammaKernel(1.01)),
                         ("wle_weibull_k1.01", WeibullKernel(1.01))):
-        root = solve_from(fam, x, rc, spec, sc, mle_d)
-        cells += _cells_vector(label, ["theta"], root.theta, [0.3948], 1e-3,
-                               note="started from the outlier-deleted MLE")
+        root = _search(fam, x, spec).selected
+        cells += _cells_vector(label, ["theta"], root.theta, [0.3948], 1e-3)
     return "Poisson rate for the fruit-fly daughter counts", cells
 
 
@@ -150,7 +159,6 @@ def _table3():
     """Normal fits to the passage-of-light measurements."""
     x = load_dataset("newcomb").column("deviation")
     fam = get_family("normal")
-    rc, sc = ResidualConfig(), SolverConfig()
     mle = fam.mle(x)
     cells = _cells_vector("mle", ["mu", "sigma2"], mle,
                           [26.2121, 113.7126], [5e-4, 5e-3])
@@ -161,10 +169,9 @@ def _table3():
              ("wle_gev_xi5", GevKernel(5.0), 27.8303, 23.7256),
              ("wle_gev_xi10", GevKernel(10.0), 27.7891, 24.6965)]
     for label, spec, mu_ref, s2_ref in specs:
-        root = solve_from(fam, x, rc, spec, sc, mle)
+        root = _search(fam, x, spec).selected
         cells += _cells_vector(label, ["mu", "sigma2"], root.theta,
-                               [mu_ref, s2_ref], [0.05, 0.5],
-                               note="started from the MLE")
+                               [mu_ref, s2_ref], [0.05, 0.5])
     return "Normal fits to the passage-of-light deviations", cells
 
 
@@ -177,20 +184,15 @@ def _table4():
     cells = _cells_vector("mle", ["lambda"], mle, [0.2224], 5e-5)
     cells += _cells_vector("mle_outlier_deleted", ["lambda"], mle_d,
                            [0.2747], 5e-5)
-    root = solve_from(fam, x, ResidualConfig(), GammaKernel(1.05),
-                      SolverConfig(), mle_d)
+    root = _search(fam, x, GammaKernel(1.05)).selected
     cells += _cells_vector("wle_gamma_alpha1.05", ["lambda"], root.theta,
-                           [0.2786], 5e-3,
-                           note="started from the outlier-deleted MLE")
+                           [0.2786], 5e-3)
     return "Exponential rate for the winter rainfall sample", cells
 
 
 def _lubischew_roots():
     x = load_dataset("lubischew").column("angle")
-    fam = get_family("normal")
-    rs = bootstrap_root_search(fam, x, ResidualConfig(), GammaKernel(1.02),
-                               SolverConfig(seed=0))
-    return x, rs
+    return x, _search(get_family("normal"), x, GammaKernel(1.02))
 
 
 def _table5():
@@ -209,7 +211,7 @@ def _table5():
     cells += _cells_vector("n_distinct_roots", ["count"], [len(rs.roots)],
                            [3.0], 0.5)
     for label, mu_ref, s2_ref in refs:
-        root = min(rs.roots, key=lambda r: abs(r.theta[0] - mu_ref))
+        root = _nearest(rs.roots, 0, mu_ref)
         cells += _cells_vector(label, ["mu", "sigma2"], root.theta,
                                [mu_ref, s2_ref], 0.02)
     return "Distinct roots for the beetle front-angle sample", cells
@@ -220,9 +222,9 @@ def _table6():
     _, rs = _lubischew_roots()
     species = load_dataset("lubischew").column("species")
     concinna, hepta = species == "concinna", species == "heptapotamica"
-    root_c = min(rs.roots, key=lambda r: abs(r.theta[0] - 14.0644))
-    root_h = min(rs.roots, key=lambda r: abs(r.theta[0] - 10.0480))
-    root_m = min(rs.roots, key=lambda r: abs(r.theta[0] - 12.0483))
+    root_c = _nearest(rs.roots, 0, 14.0644)
+    root_h = _nearest(rs.roots, 0, 10.0480)
+    root_m = _nearest(rs.roots, 0, 12.0483)
     cells = [
         TableCell("concinna_root", "min_concinna_weight",
                   float(root_c.weights[concinna].min()), 0.9, 0.0, "greater"),
@@ -274,9 +276,7 @@ def _simulation_table(table_id, reps, seed):
 
 def _table10():
     """Five-parameter bivariate normal fit to the star-cluster data."""
-    ds = load_dataset("hertzsprung_russell")
-    xy = np.column_stack([ds.column("log_temperature"),
-                          ds.column("log_light")])
+    xy = load_dataset("hertzsprung_russell").numeric()  # log T, log L
     fam = get_family("bivariate_normal")
     n = len(xy)
     names = ["mu1", "mu2", "sigma1sq", "sigma2sq", "rho"]
@@ -287,8 +287,7 @@ def _table10():
                           [mle[0], mle[1], mle[2] * c, mle[3] * c, mle[4]],
                           [4.3100, 5.0121, 0.0846, 0.3263, -0.2104], tols,
                           note="reference row uses n-1 denominators")
-    root = solve_from(fam, xy, ResidualConfig(kind="bivariate"),
-                      GammaKernel(1.01), SolverConfig(), mle)
+    root = _search(fam, xy, GammaKernel(1.01)).selected
     cw = root.weight_sum / (root.weight_sum - 1.0)
     th = root.theta
     cells += _cells_vector(
@@ -296,22 +295,14 @@ def _table10():
         [th[0], th[1], th[2] * cw, th[3] * cw, th[4]],
         [4.4222, 4.9264, 0.0111, 0.2479, 0.7919], tols,
         note="variances rescaled by W/(W-1) to match the reference "
-             "denominator convention; started from the MLE")
+             "denominator convention")
     return "Bivariate normal fit to the star-cluster data", cells
 
 
 def _table11():
     """Three bivariate roots for the two-species beetle data."""
-    ds = load_dataset("lubischew")
-    xy = np.column_stack([ds.column("width"), ds.column("angle")])
-    species = ds.column("species")
-    fam = get_family("bivariate_normal")
-    rc, sc = ResidualConfig(kind="bivariate"), SolverConfig()
-    starts = {
-        "mle_like_root": fam.mle(xy),
-        "concinna_root": fam.mle(xy[species == "concinna"]),
-        "heptapotamica_root": fam.mle(xy[species == "heptapotamica"]),
-    }
+    xy = load_dataset("lubischew").numeric()  # width, angle
+    rs = _search(get_family("bivariate_normal"), xy, GammaKernel(1.01))
     refs = {
         "mle_like_root": (142.3043, 12.0047, 38.8846, 8.2486, 4.7480),
         "concinna_root": (146.3370, 14.1297, 31.7987, -1.1087, 0.7805),
@@ -320,14 +311,14 @@ def _table11():
     names = ["mu1", "mu2", "sigma11", "sigma12", "sigma22"]
     tols = [0.1, 0.1, 0.5, 0.5, 0.5]
     cells = []
-    for label, th0 in starts.items():
-        root = solve_from(fam, xy, rc, GammaKernel(1.01), sc, th0)
+    for label, ref in refs.items():
+        root = _nearest(rs.roots, 1, ref[1])
         m1, m2, s1, s2, rho = root.theta
         cw = root.weight_sum / (root.weight_sum - 1.0)
         s11, s22 = s1 * cw, s2 * cw
         s12 = rho * np.sqrt(s1 * s2) * cw
         cells += _cells_vector(label, names, [m1, m2, s11, s12, s22],
-                               refs[label], tols,
+                               ref, tols,
                                note="covariances rescaled by W/(W-1) to "
                                     "match the reference convention")
     return "Bivariate roots for the two-species beetle data", cells
@@ -345,16 +336,13 @@ def _regression_roots(xy, mle_ref):
         "mle", names, [mle[0], mle[1], mle[2] * np.sqrt(n / (n - 2))],
         mle_ref, 0.01,
         note="reference row uses the n-2 residual standard deviation")
-    rs = bootstrap_root_search(fam, xy, ResidualConfig(kind="regression"),
-                               ScaledFKernel(2.5, 1.0), SolverConfig(seed=0))
+    rs = _search(fam, xy, ScaledFKernel(2.5, 1.0))
     return names, cells, rs
 
 
 def _table12():
     """Straight-line fit to log brain weight versus log body weight."""
-    ds = load_dataset("animals")
-    xy = np.column_stack([np.log(ds.column("body_kg")),
-                          np.log(ds.column("brain_g"))])
+    xy = np.log(load_dataset("animals").numeric())  # body kg, brain g
     names, cells, rs = _regression_roots(xy, [2.5549, 0.4960, 1.5320])
     cells += _cells_vector("wle_scaled_f_d1_2.5_d2_1", names,
                            rs.selected.theta, [1.7858, 0.7785, 0.1575], 0.01)
@@ -363,20 +351,19 @@ def _table12():
 
 def _table13():
     """Multiple regression roots for the rocket-motor voltage readings."""
-    ds = load_dataset("voltage_drop")
-    xy = np.column_stack([ds.column("time"), ds.column("voltage")])
+    xy = load_dataset("voltage_drop").numeric()  # time, voltage
     names, cells, rs = _regression_roots(xy, [9.4855, 0.1860, 2.3301])
     refs = [("wle_root1", 9.4739, 0.1867, 2.2659),
             ("wle_root2", 5.4565, 0.9335, 0.3854)]
     for label, b0, b1, s in refs:
-        root = min(rs.roots, key=lambda r: abs(r.theta[1] - b1))
+        root = _nearest(rs.roots, 1, b1)
         cells += _cells_vector(label, names, root.theta, [b0, b1, s], 0.05)
     # the third documented root is a degenerate sigma -> 0 attractor; the
     # iteration cannot certify a score residual there, so it is reported
     # among the non-converged fixed points
     degenerate = [r for r in rs.non_converged if r.theta[2] < 0.01]
     if degenerate:
-        root3 = min(degenerate, key=lambda r: abs(r.theta[1] + 0.6587))
+        root3 = _nearest(degenerate, 1, -0.6587)
         cells += _cells_vector("wle_root3_degenerate", ["beta1"],
                                [root3.theta[1]], [-0.6587], 0.05)
         cells += [TableCell("wle_root3_degenerate", "sigma",
@@ -404,7 +391,7 @@ def reproduce_table(table_id, reps=1000, seed=REPRODUCTION_SEED):
 
     `reps` and `seed` only affect the Monte-Carlo tables (7-9).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     if table_id in _SIM_REFS:
         title, cells = _simulation_table(table_id, reps, seed)
     elif table_id in _BUILDERS:
@@ -413,4 +400,4 @@ def reproduce_table(table_id, reps=1000, seed=REPRODUCTION_SEED):
         raise KeyError(f"unknown table id {table_id!r}; "
                        f"available: {table_ids()}")
     return TableReport(table_id=table_id, title=title, cells=cells,
-                       runtime_seconds=time.time() - t0)
+                       runtime_seconds=time.perf_counter() - t0)

@@ -10,7 +10,10 @@ import json
 import numpy as np
 import pytest
 
-from wle.tables import (TableCell, TableReport, export_report,
+from wle import (GammaKernel, GevKernel, ResidualConfig, SolverConfig,
+                 WeibullKernel, get_family, load_dataset, solve_from)
+from wle.solver import _near_roots
+from wle.tables import (TableCell, TableReport, _search, export_report,
                         reproduce_table, table_ids)
 
 # cells whose computed values sit just outside the published tolerance;
@@ -103,3 +106,63 @@ def test_table_report_writes_its_own_json_and_csv():
     report = reproduce_table("table4")
     assert export_report(report, "json") == report.to_json()
     assert export_report(report, "csv") == report.to_csv()
+
+
+def _mle(fam, x, ds):
+    return fam.mle(x)
+
+
+def _outlier_deleted_mle(fam, x, ds):
+    return fam.mle(x[x < x.max()])
+
+
+def _species_mle(name):
+    return lambda fam, x, ds: fam.mle(x[ds.column("species") == name])
+
+
+# the hand-picked starts that the weighted rows of tables 2-4, 10 and 11
+# were once solved from: (table, row, dataset, column, family, start,
+# kernel), where a bivariate sample is the dataset's numeric columns
+_FLY = ("drosophila", "daughters", "poisson", _outlier_deleted_mle)
+_LIGHT = ("newcomb", "deviation", "normal", _mle)
+_BEETLES = ("lubischew", None, "bivariate_normal")
+DOCUMENTED_STARTS = [
+    ("table2", "wle_gamma_alpha1.01", *_FLY, GammaKernel(1.01)),
+    ("table2", "wle_weibull_k1.01", *_FLY, WeibullKernel(1.01)),
+    ("table3", "wle_gamma_alpha1.01", *_LIGHT, GammaKernel(1.01)),
+    ("table3", "wle_gamma_alpha1.1", *_LIGHT, GammaKernel(1.1)),
+    ("table3", "wle_weibull_k1.05", *_LIGHT, WeibullKernel(1.05)),
+    ("table3", "wle_weibull_k1.1", *_LIGHT, WeibullKernel(1.1)),
+    ("table3", "wle_gev_xi5", *_LIGHT, GevKernel(5.0)),
+    ("table3", "wle_gev_xi10", *_LIGHT, GevKernel(10.0)),
+    ("table4", "wle_gamma_alpha1.05", "rainfall", "rainfall_mm",
+     "exponential", _outlier_deleted_mle, GammaKernel(1.05)),
+    ("table10", "wle_gamma_alpha1.01", "hertzsprung_russell", None,
+     "bivariate_normal", _mle, GammaKernel(1.01)),
+    ("table11", "mle_like_root", *_BEETLES, _mle, GammaKernel(1.01)),
+    ("table11", "concinna_root", *_BEETLES, _species_mle("concinna"),
+     GammaKernel(1.01)),
+    ("table11", "heptapotamica_root", *_BEETLES,
+     _species_mle("heptapotamica"), GammaKernel(1.01)),
+]
+
+
+@pytest.mark.parametrize(
+    "table_id, row, dataset, column, family, start, spec", DOCUMENTED_STARTS,
+    ids=[f"{t[0]}-{t[1]}" for t in DOCUMENTED_STARTS])
+def test_documented_start_lands_on_the_root_the_table_reads(
+        table_id, row, dataset, column, family, start, spec):
+    # each row reads one root of its table's seed-0 search (the selected
+    # root, but in table 11) and prints that root's theta[0] as its first
+    # cell; the start the row was once solved from lands on that root
+    ds = load_dataset(dataset)
+    x = ds.column(column) if column else ds.numeric()
+    fam = get_family(family)
+    rs = _search(fam, x, spec)
+    first = next(c for c in reproduce_table(table_id).cells if c.row == row)
+    read, = [r for r in rs.roots if r.theta[0] == first.computed]
+    assert read is rs.selected or table_id == "table11"
+    root = solve_from(fam, x, ResidualConfig(kind=fam.kind), spec,
+                      SolverConfig(), start(fam, x, ds))
+    assert root.converged
+    assert _near_roots(root.theta[None, :], read.theta[None, :])[0, 0]
